@@ -4,7 +4,6 @@ irreducibility structure, constancy certificates and delta sweeps.
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from .rational import (
     mat_mul,
     solve_unique,
     vec_dot,
-    vec_mat,
 )
 from .system import (
     ON_DISCONTINUITY,
@@ -24,11 +22,12 @@ from .system import (
     NoCellMatch,
     OrbitTrace,
     Periodic,
-    SimplexVector,
     Unresolved,
+    _first_recurrence,
+    _Orbit,
+    _simplex,
     coefficient_of_ergodicity,
     is_primitive,
-    locate_cell,
     perron_decomposition,
     sample_simplex,
 )
@@ -76,26 +75,19 @@ def block_product(system, cells):
     return acc
 
 
-def _scan_asymptotic(system, itinerary, sustained, sigma_cap):
+def _scan_asymptotic(cells, itinerary, sustained, sigma_cap):
+    """Smallest block length sigma whose last block repeats `sustained`
+    times at the end of the itinerary and whose product contracts, with
+    its tau; None when a discontinuity comes first or nothing passes.
+    cells is the integer form of the system (_IntCells)."""
     t = len(itinerary)
-    max_sigma = min(t // sustained, sigma_cap)
-    # The candidate block extends leftward as sigma grows, so its matrix
-    # product accumulates by one left-multiplication per sigma.
-    acc = None
-    for sigma in range(1, max_sigma + 1):
-        cell = itinerary[t - sigma]
-        if cell is ON_DISCONTINUITY:
+    for sigma in range(1, min(t // sustained, sigma_cap) + 1):
+        if itinerary[t - sigma] is ON_DISCONTINUITY:
             return None
-        rows = system.cells[cell].matrix.rows
-        acc = rows if acc is None else mat_mul(rows, acc)
-        block = itinerary[t - sigma :]
-        ok = all(
-            itinerary[t - r * sigma : t - (r - 1) * sigma] == block
-            for r in range(2, sustained + 1)
-        )
-        if not ok:
+        start = t - sustained * sigma
+        if itinerary[start : t - sigma] != itinerary[start + sigma : t]:
             continue
-        tau = coefficient_of_ergodicity(acc)
+        tau = cells.tau(itinerary[t - sigma :])
         if tau < 1:
             return sigma, tau
     return None
@@ -125,58 +117,47 @@ def detect_period(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    x = SimplexVector(x0)
-    states = [x]
+    run = _Orbit(system, x0, bit_cap=bit_cap if mode == "capped" else None)
+    states = [run.start_state]
     itinerary = []
-    seen = {x: 0}
+    seen = {hash(run.start_state): [0]}
     verdict = None
-    for t in range(horizon):
-        try:
-            cell = locate_cell(system, x)
-        except NoCellMatch as exc:
-            exc.step = t
-            raise
+    for t, cell, state in run.steps(horizon):
         itinerary.append(cell)
-        if cell is ON_DISCONTINUITY:
-            nxt = x
-        else:
-            nxt = SimplexVector(vec_mat(x, system.cells[cell].matrix.rows))
-        if mode == "capped" and nxt.bit_size > bit_cap:
-            raise BitSizeExceeded(nxt.bit_size, bit_cap, step=t)
-        states.append(nxt)
-        if nxt in seen:
-            t0 = seen[nxt]
+        states.append(state)
+        t0 = _first_recurrence(seen, states, state)
+        if t0 is not None:
             sigma = t + 1 - t0
             block = itinerary[t0 : t0 + sigma]
-            tau = None
-            if ON_DISCONTINUITY not in block:
-                tau = coefficient_of_ergodicity(block_product(system, block))
+            tau = None if ON_DISCONTINUITY in block else run.cells.tau(block)
             verdict = PeriodVerdict(EXACT_PERIODIC, t0, sigma, tau, horizon)
             break
-        seen[nxt] = t + 1
-        x = nxt
         if (t + 1) % scan_interval == 0:
-            hit = _scan_asymptotic(system, itinerary, sustained, sigma_cap)
-            if hit is not None:
-                sigma, tau = hit
-                t0 = len(itinerary) - sustained * sigma
-                verdict = PeriodVerdict(ASYMPTOTICALLY_PERIODIC, t0, sigma, tau, horizon)
+            verdict = _asymptotic_verdict(run.cells, itinerary, sustained, sigma_cap, horizon)
+            if verdict is not None:
                 break
     if verdict is None:
-        hit = _scan_asymptotic(system, itinerary, sustained, sigma_cap)
-        if hit is not None:
-            sigma, tau = hit
-            t0 = len(itinerary) - sustained * sigma
-            verdict = PeriodVerdict(ASYMPTOTICALLY_PERIODIC, t0, sigma, tau, horizon)
-        else:
+        verdict = _asymptotic_verdict(run.cells, itinerary, sustained, sigma_cap, horizon)
+        if verdict is None:
             verdict = PeriodVerdict(UNRESOLVED, horizon=horizon)
     if return_trace:
         if verdict.status == EXACT_PERIODIC:
             inner = Periodic(verdict.transient, verdict.period)
         else:
             inner = Unresolved(horizon)
+        states[0] = run.start
+        states[1:] = [_simplex(s) for s in states[1:]]
         return verdict, OrbitTrace(states, itinerary, inner)
     return verdict
+
+
+def _asymptotic_verdict(cells, itinerary, sustained, sigma_cap, horizon):
+    hit = _scan_asymptotic(cells, itinerary, sustained, sigma_cap)
+    if hit is None:
+        return None
+    sigma, tau = hit
+    t0 = len(itinerary) - sustained * sigma
+    return PeriodVerdict(ASYMPTOTICALLY_PERIODIC, t0, sigma, tau, horizon)
 
 
 def estimate_eta(
@@ -228,14 +209,11 @@ def estimate_eta(
 
 
 def _observed_itinerary(system, x0, horizon):
-    x = SimplexVector(x0)
     itinerary = []
-    for _ in range(horizon):
-        cell = locate_cell(system, x)
+    for _, cell, _ in _Orbit(system, x0).steps(horizon):
         if cell is ON_DISCONTINUITY:
             break
         itinerary.append(cell)
-        x = SimplexVector(vec_mat(x, system.cells[cell].matrix.rows))
     return itinerary
 
 
@@ -462,37 +440,26 @@ def interior_grid(omega, count):
     return [-omega + Fraction(2 * (i + 1), count + 1) * omega for i in range(count)]
 
 
-def delta_sweep(system, grid, x0_samples, horizon, workers=1, **detect_kwargs):
+def delta_sweep(system, grid, x0_samples, horizon, **detect_kwargs):
     """Run period detection over a delta grid times a set of starts.
 
     Cells are independent; per-cell failures are recorded and the sweep
-    continues. Worker threads share only the immutable system, and the
-    result order is fixed by (grid index, start index) regardless of
-    scheduling.
+    continues. Entries come in (grid index, start index) order.
     """
     grid = [Fraction(d) for d in grid]
+    x0_samples = list(x0_samples)
+    if not grid or not x0_samples:
+        raise ValueError("a sweep needs at least one grid point and one start")
     for d in grid:
         if abs(d) > system.omega:
             raise ValueError(f"grid point {d} outside [-omega, omega]")
-    tasks = [
-        (gi, delta, xi, x0)
-        for gi, delta in enumerate(grid)
-        for xi, x0 in enumerate(x0_samples)
-    ]
-
-    def run(task):
-        _, delta, xi, x0 = task
-        try:
-            verdict = detect_period(
-                system.with_delta(delta), x0, horizon, **detect_kwargs
-            )
-            return SweepEntry(delta, xi, verdict=verdict)
-        except (NoCellMatch, BitSizeExceeded, ValueError) as exc:
-            return SweepEntry(delta, xi, error=type(exc).__name__)
-
-    if workers <= 1:
-        entries = [run(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run, tasks))
+    entries = []
+    for delta in grid:
+        shifted = system.with_delta(delta)
+        for xi, x0 in enumerate(x0_samples):
+            try:
+                verdict = detect_period(shifted, x0, horizon, **detect_kwargs)
+                entries.append(SweepEntry(delta, xi, verdict=verdict))
+            except (NoCellMatch, BitSizeExceeded, ValueError) as exc:
+                entries.append(SweepEntry(delta, xi, error=type(exc).__name__))
     return SweepReport(grid, entries)

@@ -6,7 +6,6 @@ byte for byte.
 """
 
 import argparse
-import os
 import random
 import sys
 
@@ -29,22 +28,8 @@ def _parse_x0(text):
     return system.SimplexVector(parse_rational(p) for p in parts)
 
 
-def _default_workers():
-    env = os.environ.get("MISDYN_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def cmd_parse(args):
-    try:
-        graphs = digraph.read_sequence_text(_read(args.input))
-    except digraph.SequenceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graphs = digraph.read_sequence_text(_read(args.input))
     tree = parsing.parse(graphs)
     dump = tree.dump()
     if args.dump:
@@ -58,53 +43,42 @@ def cmd_parse(args):
 
 
 def cmd_simulate(args):
-    try:
-        sys_ = system.read_mis_config(_read(args.input))
-    except system.ConfigFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sys_ = system.read_mis_config(_read(args.input))
     if args.delta is not None:
         sys_ = sys_.with_delta(parse_rational(args.delta))
     x0 = _parse_x0(args.x0)
-    try:
-        if args.mode == "dyadic":
-            # Lossy arithmetic: report the trace-level verdict only; the
-            # exactness-based certificates need exact rationals.
-            trace = system.orbit(
-                sys_, x0, args.horizon, mode="dyadic", dyadic_bits=args.dyadic_bits
+    if args.mode == "dyadic":
+        # Lossy arithmetic: report the trace-level verdict only; the
+        # exactness-based certificates need exact rationals.
+        trace = system.orbit(
+            sys_, x0, args.horizon, mode="dyadic", dyadic_bits=args.dyadic_bits
+        )
+        if isinstance(trace.verdict, system.Periodic):
+            summary = (
+                f"verdict=periodic transient={trace.verdict.transient} "
+                f"period={trace.verdict.period}"
             )
-            if isinstance(trace.verdict, system.Periodic):
-                summary = (
-                    f"verdict=periodic transient={trace.verdict.transient} "
-                    f"period={trace.verdict.period}"
-                )
-            else:
-                summary = "verdict=unresolved"
-            if trace.inexact:
-                summary += " inexact=1"
         else:
-            verdict, trace = analysis.detect_period(
-                sys_,
-                x0,
-                args.horizon,
-                mode=args.mode,
-                bit_cap=args.bit_cap,
-                return_trace=True,
-            )
-            bits = [f"verdict={verdict.status}"]
-            if verdict.transient is not None:
-                bits.append(f"transient={verdict.transient}")
-            if verdict.period is not None:
-                bits.append(f"period={verdict.period}")
-            if verdict.tau_block is not None:
-                bits.append(f"tau={format_rational(verdict.tau_block)}")
-            summary = " ".join(bits)
-    except system.NoCellMatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except system.BitSizeExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+            summary = "verdict=unresolved"
+        if trace.inexact:
+            summary += " inexact=1"
+    else:
+        verdict, trace = analysis.detect_period(
+            sys_,
+            x0,
+            args.horizon,
+            mode=args.mode,
+            bit_cap=args.bit_cap,
+            return_trace=True,
+        )
+        bits = [f"verdict={verdict.status}"]
+        if verdict.transient is not None:
+            bits.append(f"transient={verdict.transient}")
+        if verdict.period is not None:
+            bits.append(f"period={verdict.period}")
+        if verdict.tau_block is not None:
+            bits.append(f"tau={format_rational(verdict.tau_block)}")
+        summary = " ".join(bits)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
             system.write_trace_csv(trace, fh, exact=not args.decimal)
@@ -113,11 +87,10 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    try:
-        sys_ = system.read_mis_config(_read(args.input))
-    except system.ConfigFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sys_ = system.read_mis_config(_read(args.input))
+    least = 2 if args.include_endpoints else 1
+    if args.grid_points < least:
+        raise ValueError(f"--grid-points must be at least {least}")
     if args.include_endpoints:
         inner = analysis.interior_grid(sys_.omega, args.grid_points - 2)
         grid = [-sys_.omega] + inner + [sys_.omega]
@@ -128,9 +101,7 @@ def cmd_sweep(args):
         system.sample_simplex(rng, sys_.n, denominator=args.denominator)
         for _ in range(args.samples)
     ]
-    report = analysis.delta_sweep(
-        sys_, grid, samples, args.horizon, workers=args.workers
-    )
+    report = analysis.delta_sweep(sys_, grid, samples, args.horizon)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         report.write_csv(fh)
     print(
@@ -141,11 +112,7 @@ def cmd_sweep(args):
 
 
 def cmd_clock(args):
-    try:
-        verdict = constructions.measure_clock_period(args.levels, args.horizon)
-    except constructions.ClockBuildError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    verdict = constructions.measure_clock_period(args.levels, args.horizon)
     if args.trace:
         sys_, x0 = constructions.build_clock(args.levels)
         trace = system.orbit(sys_, x0, min(args.horizon, args.trace_steps))
@@ -202,6 +169,8 @@ def _read_lift_config(text):
         elif line.startswith("threshold:"):
             threshold = parse_rational(line[len("threshold:"):].strip())
         elif line.startswith("A:") or line.startswith("B:"):
+            if n is None:
+                raise ValueError(f"line {lineno}: matrix before n=")
             name = line[0]
             values = [parse_rational(t) for t in line[2:].split()]
             if len(values) >= n * n:
@@ -221,11 +190,7 @@ def _read_lift_config(text):
 
 
 def cmd_lift(args):
-    try:
-        a, b, xi, threshold = _read_lift_config(_read(args.input))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a, b, xi, threshold = _read_lift_config(_read(args.input))
     lifted = system.kronecker_variance_lift(a, b, xi, threshold)
     _write(args.out, system.write_mis_config(lifted))
     print(f"n={lifted.n} out={args.out}")
@@ -263,7 +228,6 @@ def build_parser():
     p.add_argument("--denominator", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("clock", help="measure the stacked clock period")
@@ -293,8 +257,20 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand. Every failure it reports ends as one `error:`
+    line on stderr and a nonzero exit code: 3 when no cell matches a
+    state, 4 past the bit cap, 2 for bad input or an unreadable file."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except system.NoCellMatch as exc:
+        error, code = exc, 3
+    except system.BitSizeExceeded as exc:
+        error, code = exc, 4
+    except (ValueError, OSError) as exc:
+        error, code = exc, 2
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,22 +42,9 @@ def vec_mat(x, m):
     )
 
 
-def mat_vec(m, v):
-    return tuple(vec_dot(row, v) for row in m)
-
-
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
-def mat_identity(n):
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_inf_norm(m):

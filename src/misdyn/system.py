@@ -12,6 +12,7 @@ bit-size cap (default), or lossy rounding to dyadics of a fixed
 precision (the trace is then flagged inexact).
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from .rational import (
     parse_rational,
     rref,
     vec_dot,
-    vec_mat,
 )
 
 DEFAULT_BIT_CAP = 1 << 16
@@ -217,19 +217,194 @@ def locate_cell(system, x):
     raise NoCellMatch(signs)
 
 
+# ---------------------------------------------------------------------------
+# The orbit engine
+#
+# A state x is held as one integer vector p over one shared denominator
+# D in lowest terms (x = p / D, gcd(D, *p) == 1, so the pair is unique
+# and equal states have equal pairs). Each cell matrix S is scaled once
+# to the integer matrix K = E * S, E the lcm of its entry denominators,
+# and each hyperplane test a.x vs 1 + delta becomes one integer
+# comparison of A.p against c * D. A step is then p -> p K over D * E,
+# reduced by one gcd.
+
+
+class _IntCells:
+    """Integer form of a system's hyperplanes and cell matrices."""
+
+    def __init__(self, system):
+        threshold = 1 + system.delta
+        self.planes = []  # (((i, A_i), ...) nonzero only, c)
+        for h in system.hyperplanes:
+            scale = math.lcm(*(v.denominator for v in h.normal))
+            coeffs = tuple(
+                (i, v.numerator * (scale // v.denominator) * threshold.denominator)
+                for i, v in enumerate(h.normal)
+                if v
+            )
+            self.planes.append((coeffs, threshold.numerator * scale))
+        self.patterns = [cell.pattern for cell in system.cells]
+        self.matrices = []  # (K rows, E) per cell
+        self.columns = []  # per cell, per column j: ((i, K_ij), ...) nonzero only
+        for cell in system.cells:
+            rows = cell.matrix.rows
+            scale = math.lcm(*(v.denominator for row in rows for v in row))
+            k = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+            self.matrices.append((k, scale))
+            self.columns.append(
+                tuple(
+                    tuple((i, row[j]) for i, row in enumerate(k) if row[j])
+                    for j in range(len(k))
+                )
+            )
+        self._cell_of = {}  # tuple of "above" flags -> cell index
+        self._taus = {}  # block of cell indices -> tau
+
+    def cell_of(self, above):
+        """First cell whose pattern matches the strict sign flags."""
+        idx = self._cell_of.get(above)
+        if idx is None:
+            for idx, pattern in enumerate(self.patterns):
+                if all(p == "*" or (p == "+") == s for p, s in zip(pattern, above)):
+                    break
+            else:
+                raise NoCellMatch(tuple(1 if s else -1 for s in above))
+            self._cell_of[above] = idx
+        return idx
+
+    def tau(self, cells):
+        """Coefficient of ergodicity of the matrix product along a run of
+        cell indices (in step order), from the integer product K over
+        the product E of the scales: max_(i<j) sum |K_i - K_j| / (2 E).
+        Memoised per run."""
+        cells = tuple(cells)
+        tau = self._taus.get(cells)
+        if tau is None:
+            rows, scale = self.matrices[cells[0]]
+            for c in cells[1:]:
+                cols = self.columns[c]
+                rows = tuple(tuple(sum([r[i] * k for i, k in col]) for col in cols) for r in rows)
+                scale *= self.matrices[c][1]
+            best = 0
+            for i in range(len(rows)):
+                for j in range(i + 1, len(rows)):
+                    d = sum([abs(a - b) for a, b in zip(rows[i], rows[j])])
+                    if d > best:
+                        best = d
+            tau = self._taus[cells] = Fraction(best, 2 * scale)
+        return tau
+
+
+def _int_state(x):
+    """(D, p) of a SimplexVector: the lcm of its denominators and its
+    numerators over it."""
+    d = math.lcm(*(c.denominator for c in x))
+    return d, tuple(c.numerator * (d // c.denominator) for c in x)
+
+
+def _simplex(state):
+    """SimplexVector of an integer state; the engine keeps its entries
+    nonnegative and summing to D, so the checks are not repeated."""
+    d, p = state
+    return tuple.__new__(SimplexVector, [Fraction(v, d) for v in p])
+
+
+class _Orbit:
+    """One run of the dynamics from x0 on the integer form of the system.
+
+    steps() is the one stepping loop behind step, orbit, detect_period
+    and estimate_eta. With bit_cap set, a state with an entry of more
+    than bit_cap bits raises BitSizeExceeded; with dyadic_bits set, each
+    state is rounded to that many bits, and inexact records whether a
+    rounding changed a state.
+    """
+
+    def __init__(self, system, x0, bit_cap=None, dyadic_bits=None):
+        x = SimplexVector(x0)
+        if len(x) != system.n:
+            raise ValueError(
+                f"start vector has {len(x)} coordinates, the system has {system.n} states"
+            )
+        self.start = x
+        self.start_state = _int_state(x)
+        self.cells = _IntCells(system)
+        self.bit_cap = bit_cap
+        self.dyadic_bits = dyadic_bits
+        self.inexact = False
+
+    def steps(self, horizon):
+        """Yield (t, cell, state) for t = 0 .. horizon - 1, where cell is
+        the index applied at step t (ON_DISCONTINUITY on a hyperplane,
+        where the state stays put) and state = (D, p) is the state after
+        the step."""
+        planes = self.cells.planes
+        cell_of = self.cells.cell_of
+        matrices, columns = self.cells.matrices, self.cells.columns
+        bit_cap, dyadic_bits = self.bit_cap, self.dyadic_bits
+        state = self.start_state
+        for t in range(horizon):
+            d, q = state
+            above = []
+            for coeffs, c in planes:
+                v = sum([q[i] * a for i, a in coeffs])
+                w = c * d
+                if v == w:
+                    cell = ON_DISCONTINUITY
+                    break
+                above.append(v > w)
+            else:
+                try:
+                    cell = cell_of(tuple(above))
+                except NoCellMatch as exc:
+                    exc.step = t
+                    raise
+                q = [sum([q[i] * k for i, k in col]) for col in columns[cell]]
+                d *= matrices[cell][1]
+                g = math.gcd(d, *q)
+                if g != 1:
+                    d //= g
+                    q = [v // g for v in q]
+                if any(v < 0 for v in q):
+                    raise ValueError("negative coordinate")
+                if sum(q) != d:
+                    raise ValueError("coordinates do not sum to 1")
+            state = (d, tuple(q))
+            # No entry needs more than 2 * D.bit_length() bits, so the
+            # exact entry sizes are only computed near the cap.
+            if bit_cap is not None and 2 * d.bit_length() > bit_cap:
+                bits = _simplex(state).bit_size
+                if bits > bit_cap:
+                    raise BitSizeExceeded(bits, bit_cap, step=t)
+            if dyadic_bits is not None:
+                x = _simplex(state)
+                rounded = _round_dyadic(x, dyadic_bits)
+                self.inexact = self.inexact or rounded != x
+                state = _int_state(rounded)
+            yield t, cell, state
+
+
+def _first_recurrence(seen, states, key):
+    """Index of an earlier entry of states equal to the last one, or None
+    after recording the last one. seen buckets indices by hash(key), key
+    being the integer state of the last entry; a hit is confirmed by
+    exact equality."""
+    bucket = seen.setdefault(hash(key), [])
+    last = states[-1]
+    for s in bucket:
+        if states[s] == last:
+            return s
+    bucket.append(len(states) - 1)
+    return None
+
+
 def step(system, x, bit_cap=None):
     """One exact step of the dynamics; identity on discontinuities.
 
     With bit_cap set, a result whose entries outgrow the cap raises
     BitSizeExceeded instead of being returned.
     """
-    cell = locate_cell(system, x)
-    if cell is ON_DISCONTINUITY:
-        return x
-    nxt = SimplexVector(vec_mat(x, system.cells[cell].matrix.rows))
-    if bit_cap is not None and nxt.bit_size > bit_cap:
-        raise BitSizeExceeded(nxt.bit_size, bit_cap)
-    return nxt
+    for _, cell, state in _Orbit(system, x, bit_cap=bit_cap).steps(1):
+        return x if cell is ON_DISCONTINUITY else _simplex(state)
 
 
 @dataclass
@@ -279,37 +454,24 @@ def orbit(system, x0, horizon, mode="capped", bit_cap=DEFAULT_BIT_CAP, dyadic_bi
         raise ValueError("horizon must be at least 1")
     if mode not in ("exact", "capped", "dyadic"):
         raise ValueError(f"unknown arithmetic mode {mode!r}")
-    x = SimplexVector(x0)
-    states = [x]
+    run = _Orbit(
+        system,
+        x0,
+        bit_cap=bit_cap if mode == "capped" else None,
+        dyadic_bits=dyadic_bits if mode == "dyadic" else None,
+    )
+    states = [run.start]
     itinerary = []
-    seen = {x: 0}
-    inexact = False
+    seen = {hash(run.start_state): [0]}
     verdict = Unresolved(horizon)
-    for t in range(horizon):
-        try:
-            cell = locate_cell(system, x)
-        except NoCellMatch as exc:
-            exc.step = t
-            raise
+    for t, cell, state in run.steps(horizon):
         itinerary.append(cell)
-        if cell is ON_DISCONTINUITY:
-            nxt = x
-        else:
-            nxt = SimplexVector(vec_mat(x, system.cells[cell].matrix.rows))
-        if mode == "capped" and nxt.bit_size > bit_cap:
-            raise BitSizeExceeded(nxt.bit_size, bit_cap, step=t)
-        if mode == "dyadic":
-            rounded = _round_dyadic(nxt, dyadic_bits)
-            inexact = inexact or rounded != nxt
-            nxt = rounded
-        states.append(nxt)
-        if nxt in seen:
-            t0 = seen[nxt]
+        states.append(_simplex(state))
+        t0 = _first_recurrence(seen, states, state)
+        if t0 is not None:
             verdict = Periodic(transient=t0, period=t + 1 - t0)
             break
-        seen[nxt] = t + 1
-        x = nxt
-    return OrbitTrace(states, itinerary, verdict, inexact)
+    return OrbitTrace(states, itinerary, verdict, run.inexact)
 
 
 def _rows_of(m):

@@ -197,3 +197,114 @@ def quadratic_threshold_step(a, b, xi, threshold, x):
         return x
     m = a if var > threshold else b
     return SimplexVector(vec_mat(x, m.rows))
+
+
+# ---------------------------------------------------------------------------
+# Plain-Fraction reference dynamics (no integer states, no cell lookup
+# tables), the oracle for the orbit engine
+
+
+def reference_step(system, x):
+    """(cell index or None on a hyperplane, next state) by plain loops."""
+    from misdyn.system import NoCellMatch
+
+    threshold = 1 + system.delta
+    signs = []
+    for h in system.hyperplanes:
+        v = sum((a * c for a, c in zip(h.normal, x)), Fraction(0))
+        if v == threshold:
+            return None, tuple(x)
+        signs.append(v > threshold)
+    for idx, cell in enumerate(system.cells):
+        if all(p == "*" or (p == "+") == s for p, s in zip(cell.pattern, signs)):
+            rows = cell.matrix.rows
+            n = len(x)
+            return idx, tuple(
+                sum((x[i] * rows[i][j] for i in range(n)), Fraction(0)) for j in range(n)
+            )
+    raise NoCellMatch(tuple(1 if s else -1 for s in signs))
+
+
+def reference_round(x, bits):
+    """Round to multiples of 2^-bits, half to even, and put the residual
+    on the first largest entry."""
+    scale = 1 << bits
+    rounded = [Fraction(round(c * scale), scale) for c in x]
+    top = max(range(len(rounded)), key=lambda i: rounded[i])
+    rounded[top] += 1 - sum(rounded)
+    if rounded[top] < 0:
+        raise ValueError("negative coordinate")
+    return tuple(rounded)
+
+
+def reference_orbit(system, x0, horizon, bit_cap=None, dyadic_bits=None):
+    """(states, itinerary, (transient, period) or None, inexact), stopping
+    at the first exact recurrence; a state with an entry over bit_cap
+    bits raises BitSizeExceeded with its step."""
+    from misdyn.system import BitSizeExceeded
+
+    x = tuple(Fraction(c) for c in x0)
+    states, itinerary, inexact = [x], [], False
+    for t in range(horizon):
+        cell, nxt = reference_step(system, x)
+        itinerary.append(cell)
+        if bit_cap is not None:
+            bits = max(c.numerator.bit_length() + c.denominator.bit_length() for c in nxt)
+            if bits > bit_cap:
+                raise BitSizeExceeded(bits, bit_cap, step=t)
+        if dyadic_bits is not None:
+            rounded = reference_round(nxt, dyadic_bits)
+            inexact = inexact or rounded != nxt
+            nxt = rounded
+        if nxt in states:
+            t0 = states.index(nxt)
+            states.append(nxt)
+            return states, itinerary, (t0, t + 1 - t0), inexact
+        states.append(nxt)
+        x = nxt
+    return states, itinerary, None, inexact
+
+
+def reference_detect_period(system, x0, horizon, sustained=3, scan_interval=16, sigma_cap=64):
+    """(status, transient, period, tau_block, states) by the plain
+    algorithm: exact recurrence first; every scan_interval steps and at
+    the horizon, the smallest block repeated `sustained` times at the end
+    of the itinerary whose Fraction block product has tau < 1."""
+    from misdyn.analysis import block_product
+    from misdyn.system import coefficient_of_ergodicity
+
+    def scan(itinerary):
+        t = len(itinerary)
+        for sigma in range(1, min(t // sustained, sigma_cap) + 1):
+            block = itinerary[t - sigma :]
+            if None in block:
+                return None
+            if all(
+                itinerary[t - r * sigma : t - (r - 1) * sigma] == block
+                for r in range(2, sustained + 1)
+            ):
+                tau = coefficient_of_ergodicity(block_product(system, block))
+                if tau < 1:
+                    return "asymptotically-periodic", t - sustained * sigma, sigma, tau
+        return None
+
+    x = tuple(Fraction(c) for c in x0)
+    states, itinerary = [x], []
+    for t in range(horizon):
+        cell, nxt = reference_step(system, x)
+        itinerary.append(cell)
+        if nxt in states:
+            t0 = states.index(nxt)
+            states.append(nxt)
+            block = itinerary[t0:]
+            tau = None
+            if None not in block:
+                tau = coefficient_of_ergodicity(block_product(system, block))
+            return ("exact-periodic", t0, t + 1 - t0, tau), states
+        states.append(nxt)
+        x = nxt
+        if (t + 1) % scan_interval == 0:
+            hit = scan(itinerary)
+            if hit is not None:
+                return hit, states
+    return scan(itinerary) or ("unresolved", None, None, None), states

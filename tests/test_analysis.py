@@ -413,20 +413,6 @@ def test_sweep_constant_system_all_period_one():
     assert report.period_histogram() == {1: 16}
 
 
-def test_sweep_parallel_matches_serial():
-    rng = random.Random(70)
-    sys_ = random_irreducible_system(rng, 3)
-    grid = interior_grid(sys_.omega, 6)
-    samples = [random_simplex(rng, 3) for _ in range(2)]
-    serial = delta_sweep(sys_, grid, samples, 500)
-    parallel = delta_sweep(sys_, grid, samples, 500, workers=4)
-    assert [
-        (e.delta, e.x0_index, e.verdict and e.verdict.status) for e in serial.entries
-    ] == [
-        (e.delta, e.x0_index, e.verdict and e.verdict.status) for e in parallel.entries
-    ]
-
-
 def test_sweep_baker_mostly_unresolved():
     # The chaotic five-state system never certifies: states never repeat
     # exactly (one block contracts by 2/3 each step) and every block

@@ -160,7 +160,7 @@ def test_sweep_deterministic_and_csv(tmp_path, capsys):
         "400",
     ]
     assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2), "--workers", "3"]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
@@ -233,3 +233,65 @@ def test_lift_constant_observable_single_cell(tmp_path, capsys):
     assert main(["lift", str(lift_in), "--out", str(out_cfg)]) == 0
     lifted = read_mis_config(out_cfg.read_text())
     assert len(lifted.hyperplanes) == 0 and len(lifted.cells) == 1
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{cfg}", "--x0", "1,0", "--horizon", "0"],
+        ["simulate", "{cfg}", "--x0", "1/2,1/4,1/4"],
+        ["simulate", "{missing}", "--x0", "1,0"],
+        ["sweep", "{cfg}", "--out", "{out}", "--grid-points", "0"],
+        ["sweep", "{missing}", "--out", "{out}"],
+        ["baker", "--steps", "0", "--out", "{out}"],
+        ["baker", "--x0", "1/2,1/2", "--out", "{out}"],
+        ["parse", "{missing}"],
+        ["lift", "{lift_without_n}", "--out", "{out}"],
+    ],
+    ids=[
+        "simulate-horizon-0",
+        "simulate-x0-wrong-length",
+        "simulate-missing-file",
+        "sweep-grid-points-0",
+        "sweep-missing-file",
+        "baker-steps-0",
+        "baker-x0-wrong-length",
+        "parse-missing-file",
+        "lift-without-n",
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    cfg = tmp_path / "sys.txt"
+    cfg.write_text(CONSTANT_CONFIG)
+    lift_without_n = tmp_path / "lift.txt"
+    lift_without_n.write_text("xi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\n")
+    paths = {
+        "cfg": str(cfg),
+        "lift_without_n": str(lift_without_n),
+        "missing": str(tmp_path / "no-such-file.txt"),
+        "out": str(tmp_path / "out.csv"),
+    }
+    code = main([arg.format(**paths) for arg in argv])
+    assert code == 2
+    _one_error_line(capsys)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_simulate_reports_bit_cap_and_no_cell_match(tmp_path, capsys):
+    cfg = tmp_path / "sys.txt"
+    cfg.write_text(CONSTANT_CONFIG)
+    assert main(["simulate", str(cfg), "--x0", "1,0", "--bit-cap", "8"]) == 4
+    assert "bits (cap 8)" in _one_error_line(capsys)
+    uncovered = tmp_path / "uncovered.txt"
+    uncovered.write_text(
+        "n=2\nhyperplane: 2 1\ncell: - matrix:\n  1/2 1/2\n  1/4 3/4\n"
+    )
+    assert main(["simulate", str(uncovered), "--x0", "1,0"]) == 3
+    assert "no cell matches" in _one_error_line(capsys)
