@@ -15,55 +15,24 @@ from .rational import (
     solve_unique,
     vec_dot,
 )
+# PeriodVerdict and its status names live in system; analysis re-exports
+# them for its callers.
 from .system import (
+    ASYMPTOTICALLY_PERIODIC,
+    EXACT_PERIODIC,
     ON_DISCONTINUITY,
+    UNRESOLVED,
     BitSizeExceeded,
     DEFAULT_BIT_CAP,
     NoCellMatch,
-    OrbitTrace,
-    Periodic,
-    Unresolved,
-    _first_recurrence,
+    PeriodVerdict,
+    _mode_orbit,
     _Orbit,
-    _simplex,
     coefficient_of_ergodicity,
     is_primitive,
     perron_decomposition,
     sample_simplex,
 )
-
-EXACT_PERIODIC = "exact-periodic"
-ASYMPTOTICALLY_PERIODIC = "asymptotically-periodic"
-UNRESOLVED = "unresolved"
-
-
-@dataclass
-class PeriodVerdict:
-    """Outcome of period detection.
-
-    For an exact verdict the state at transient + period equals the
-    state at transient. For an asymptotic verdict the itinerary repeats
-    a period-long cell block (sustained for the configured number of
-    repetitions) and tau_block, the coefficient of ergodicity of the
-    block's matrix product, is below one, so the orbit contracts onto
-    the periodic orbit of that product at a geometric rate.
-    """
-
-    status: str
-    transient: int = None
-    period: int = None
-    tau_block: Fraction = None
-    horizon: int = 0
-
-
-class _RowsMatrix:
-    """Adapter exposing raw rational rows to the spectral helpers."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.n = len(rows)
 
 
 def block_product(system, cells):
@@ -75,11 +44,11 @@ def block_product(system, cells):
     return acc
 
 
-def _scan_asymptotic(cells, itinerary, sustained, sigma_cap):
-    """Smallest block length sigma whose last block repeats `sustained`
-    times at the end of the itinerary and whose product contracts, with
-    its tau; None when a discontinuity comes first or nothing passes.
-    cells is the integer form of the system (_IntCells)."""
+def _scan_asymptotic(cells, itinerary, sustained, sigma_cap, horizon):
+    """Asymptotic verdict for the smallest block length sigma whose last
+    block repeats `sustained` times at the end of the itinerary and
+    whose product contracts; None when a discontinuity comes first or
+    nothing passes. cells is the integer form of the system (_IntCells)."""
     t = len(itinerary)
     for sigma in range(1, min(t // sustained, sigma_cap) + 1):
         if itinerary[t - sigma] is ON_DISCONTINUITY:
@@ -89,7 +58,7 @@ def _scan_asymptotic(cells, itinerary, sustained, sigma_cap):
             continue
         tau = cells.tau(itinerary[t - sigma :])
         if tau < 1:
-            return sigma, tau
+            return PeriodVerdict(ASYMPTOTICALLY_PERIODIC, start, sigma, tau, horizon)
     return None
 
 
@@ -115,49 +84,19 @@ def detect_period(
     reported as asymptotically periodic with the smallest such block
     length. Anything else is unresolved at this horizon.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    run = _Orbit(system, x0, bit_cap=bit_cap if mode == "capped" else None)
-    states = [run.start_state]
-    itinerary = []
-    seen = {hash(run.start_state): [0]}
-    verdict = None
-    for t, cell, state in run.steps(horizon):
-        itinerary.append(cell)
-        states.append(state)
-        t0 = _first_recurrence(seen, states, state)
-        if t0 is not None:
-            sigma = t + 1 - t0
-            block = itinerary[t0 : t0 + sigma]
-            tau = None if ON_DISCONTINUITY in block else run.cells.tau(block)
-            verdict = PeriodVerdict(EXACT_PERIODIC, t0, sigma, tau, horizon)
-            break
-        if (t + 1) % scan_interval == 0:
-            verdict = _asymptotic_verdict(run.cells, itinerary, sustained, sigma_cap, horizon)
-            if verdict is not None:
-                break
-    if verdict is None:
-        verdict = _asymptotic_verdict(run.cells, itinerary, sustained, sigma_cap, horizon)
-        if verdict is None:
-            verdict = PeriodVerdict(UNRESOLVED, horizon=horizon)
-    if return_trace:
-        if verdict.status == EXACT_PERIODIC:
-            inner = Periodic(verdict.transient, verdict.period)
-        else:
-            inner = Unresolved(horizon)
-        states[0] = run.start
-        states[1:] = [_simplex(s) for s in states[1:]]
-        return verdict, OrbitTrace(states, itinerary, inner)
-    return verdict
+    run = _mode_orbit(system, x0, horizon, mode, bit_cap)
 
-
-def _asymptotic_verdict(cells, itinerary, sustained, sigma_cap, horizon):
-    hit = _scan_asymptotic(cells, itinerary, sustained, sigma_cap)
-    if hit is None:
+    def scan(t, itinerary):
+        # Every scan_interval steps, and once more at the horizon.
+        if (t + 1) % scan_interval == 0 or t + 1 == horizon:
+            return _scan_asymptotic(run.cells, itinerary, sustained, sigma_cap, horizon)
         return None
-    sigma, tau = hit
-    t0 = len(itinerary) - sustained * sigma
-    return PeriodVerdict(ASYMPTOTICALLY_PERIODIC, t0, sigma, tau, horizon)
+
+    states, itinerary, verdict = run.classify(horizon, scan)
+    verdict = verdict or PeriodVerdict(UNRESOLVED, horizon=horizon)
+    if return_trace:
+        return verdict, run.trace(states, itinerary, verdict)
+    return verdict
 
 
 def estimate_eta(
@@ -221,7 +160,7 @@ def _all_windows_good(system, windows):
     half = Fraction(1, 2)
     for window in windows:
         prod = block_product(system, window)
-        if not is_primitive(_RowsMatrix(prod)):
+        if not is_primitive(prod):
             return False
         if coefficient_of_ergodicity(prod) >= half:
             return False
@@ -348,7 +287,7 @@ def property_u_certificate(matrices, theta, a):
     m_columns = []
     for k in theta:
         p_k = prefix_products[k]
-        _, q_k = perron_decomposition(_RowsMatrix(p_k))
+        _, q_k = perron_decomposition(p_k)
         q_columns.append(tuple(vec_dot(row, a) for row in q_k))
         m_columns.append(tuple(vec_dot(row, a) for row in p_k))
     m = len(theta)

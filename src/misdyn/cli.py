@@ -53,7 +53,7 @@ def cmd_simulate(args):
         trace = system.orbit(
             sys_, x0, args.horizon, mode="dyadic", dyadic_bits=args.dyadic_bits
         )
-        if isinstance(trace.verdict, system.Periodic):
+        if trace.verdict.status == system.EXACT_PERIODIC:
             summary = (
                 f"verdict=periodic transient={trace.verdict.transient} "
                 f"period={trace.verdict.period}"
@@ -146,51 +146,8 @@ def cmd_baker(args):
     return 0
 
 
-def _read_lift_config(text):
-    n = None
-    xi = threshold = None
-    blocks = {}
-    pending = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if pending is not None:
-            name, values = pending
-            values.extend(parse_rational(tok) for tok in line.split())
-            if len(values) >= n * n:
-                blocks[name] = values[: n * n]
-                pending = None
-            continue
-        if line.startswith("n="):
-            n = int(line[2:])
-        elif line.startswith("xi:"):
-            xi = [parse_rational(t) for t in line[3:].split()]
-        elif line.startswith("threshold:"):
-            threshold = parse_rational(line[len("threshold:"):].strip())
-        elif line.startswith("A:") or line.startswith("B:"):
-            if n is None:
-                raise ValueError(f"line {lineno}: matrix before n=")
-            name = line[0]
-            values = [parse_rational(t) for t in line[2:].split()]
-            if len(values) >= n * n:
-                blocks[name] = values[: n * n]
-            else:
-                pending = (name, values)
-        else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None or xi is None or threshold is None or set(blocks) != {"A", "B"}:
-        raise ValueError("lift input needs n=, xi:, threshold:, A: and B:")
-    def matrix(name):
-        vals = blocks[name]
-        return system.StochasticMatrix(
-            [vals[i * n : (i + 1) * n] for i in range(n)]
-        )
-    return matrix("A"), matrix("B"), xi, threshold
-
-
 def cmd_lift(args):
-    a, b, xi, threshold = _read_lift_config(_read(args.input))
+    a, b, xi, threshold = system.read_lift_config(_read(args.input))
     lifted = system.kronecker_variance_lift(a, b, xi, threshold)
     _write(args.out, system.write_mis_config(lifted))
     print(f"n={lifted.n} out={args.out}")

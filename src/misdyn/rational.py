@@ -94,13 +94,6 @@ def rref(rows, ncols=None):
     return work, pivots
 
 
-def matrix_rank(rows):
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
 def solve_unique(a_rows, b):
     """Solve A u = b exactly when the solution exists and is unique.
 
@@ -125,28 +118,11 @@ def solve_unique(a_rows, b):
 
 
 def find_dependent_row(rows):
-    """Index of a row that is a linear combination of the other rows.
+    """Index of the first row that is a linear combination of the rows
+    above it, or None when the rows are linearly independent.
 
-    Returns None when the rows are linearly independent.
+    Row i lies in the span of the rows above it exactly when column i of
+    the transpose is not a pivot column of its reduced echelon form.
     """
-    if not rows:
-        return None
-    n = len(rows)
-    if matrix_rank(rows) == n:
-        return None
-    # Eliminate top-down; the first row reduced to zero by the ones above
-    # it lies in their span.
-    work = [list(r) for r in rows]
-    used = []  # (pivot column, reduced row) pairs
-    for idx in range(n):
-        row = work[idx]
-        for c, base in used:
-            if row[c] != 0:
-                f = row[c]
-                row = [v - f * w for v, w in zip(row, base)]
-        pivot = next((c for c, v in enumerate(row) if v != 0), None)
-        if pivot is None:
-            return idx
-        inv = Fraction(1) / row[pivot]
-        used.append((pivot, [v * inv for v in row]))
-    return None
+    _, pivots = rref(list(zip(*rows)), ncols=len(rows))
+    return next((i for i in range(len(rows)) if i not in pivots), None)

@@ -24,7 +24,7 @@ from .rational import (
     kron,
     mat_inf_norm,
     parse_rational,
-    rref,
+    solve_unique,
     vec_dot,
 )
 
@@ -313,10 +313,11 @@ class _Orbit:
     """One run of the dynamics from x0 on the integer form of the system.
 
     steps() is the one stepping loop behind step, orbit, detect_period
-    and estimate_eta. With bit_cap set, a state with an entry of more
-    than bit_cap bits raises BitSizeExceeded; with dyadic_bits set, each
-    state is rounded to that many bits, and inexact records whether a
-    rounding changed a state.
+    and estimate_eta, and classify() the one recurrence loop behind
+    orbit and detect_period. With bit_cap set, a state with an entry of
+    more than bit_cap bits raises BitSizeExceeded; with dyadic_bits set,
+    each state is rounded to that many bits, and inexact records whether
+    a rounding changed a state.
     """
 
     def __init__(self, system, x0, bit_cap=None, dyadic_bits=None):
@@ -382,14 +383,48 @@ class _Orbit:
                 state = _int_state(rounded)
             yield t, cell, state
 
+    def classify(self, horizon, scan=None):
+        """Run up to horizon steps and return (states, itinerary,
+        verdict), states being the integer states from the start on.
 
-def _first_recurrence(seen, states, key):
+        The run stops at the first exact recurrence, with an exact
+        verdict, or at the first step t where scan(t, itinerary) returns
+        a verdict; verdict is None when neither happens.
+        """
+        states = [self.start_state]
+        itinerary = []
+        seen = {hash(self.start_state): [0]}
+        for t, cell, state in self.steps(horizon):
+            itinerary.append(cell)
+            states.append(state)
+            t0 = _first_recurrence(seen, states)
+            if t0 is not None:
+                block = itinerary[t0:]
+                tau = None if ON_DISCONTINUITY in block else self.cells.tau(block)
+                verdict = PeriodVerdict(EXACT_PERIODIC, t0, t + 1 - t0, tau, horizon)
+                return states, itinerary, verdict
+            if scan is not None:
+                verdict = scan(t, itinerary)
+                if verdict is not None:
+                    return states, itinerary, verdict
+        return states, itinerary, None
+
+    def trace(self, states, itinerary, verdict):
+        """OrbitTrace of a classify result. Its integer states are turned
+        into SimplexVectors in place, so no second copy of the orbit is
+        held."""
+        states[0] = self.start
+        for i in range(1, len(states)):
+            states[i] = _simplex(states[i])
+        return OrbitTrace(states, itinerary, verdict, self.inexact)
+
+
+def _first_recurrence(seen, states):
     """Index of an earlier entry of states equal to the last one, or None
-    after recording the last one. seen buckets indices by hash(key), key
-    being the integer state of the last entry; a hit is confirmed by
-    exact equality."""
-    bucket = seen.setdefault(hash(key), [])
+    after recording the last one. seen buckets indices by the hash of
+    the integer state; a hit is confirmed by exact equality."""
     last = states[-1]
+    bucket = seen.setdefault(hash(last), [])
     for s in bucket:
         if states[s] == last:
             return s
@@ -407,22 +442,36 @@ def step(system, x, bit_cap=None):
         return x if cell is ON_DISCONTINUITY else _simplex(state)
 
 
-@dataclass
-class Periodic:
-    transient: int
-    period: int
+EXACT_PERIODIC = "exact-periodic"
+ASYMPTOTICALLY_PERIODIC = "asymptotically-periodic"
+UNRESOLVED = "unresolved"
 
 
 @dataclass
-class Unresolved:
-    horizon: int
+class PeriodVerdict:
+    """Outcome of period detection, from orbit (exact or unresolved only)
+    or detect_period.
+
+    For an exact verdict the state at transient + period equals the
+    state at transient. For an asymptotic verdict the itinerary repeats
+    a period-long cell block (sustained for the configured number of
+    repetitions) and tau_block, the coefficient of ergodicity of the
+    block's matrix product, is below one, so the orbit contracts onto
+    the periodic orbit of that product at a geometric rate.
+    """
+
+    status: str
+    transient: int = None
+    period: int = None
+    tau_block: Fraction = None
+    horizon: int = 0
 
 
 @dataclass
 class OrbitTrace:
     states: list
     itinerary: list  # cell index per step, or ON_DISCONTINUITY
-    verdict: object
+    verdict: PeriodVerdict
     inexact: bool = False
 
     @property
@@ -442,6 +491,23 @@ def _round_dyadic(x, bits):
     return SimplexVector(rounded)
 
 
+def _mode_orbit(system, x0, horizon, mode, bit_cap, dyadic_bits=None):
+    """The run behind orbit and detect_period: checks the horizon and
+    maps the arithmetic mode to the run's caps. 'exact' and 'capped' are
+    always accepted, 'dyadic' only from callers that pass dyadic_bits."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    modes = ("exact", "capped") if dyadic_bits is None else ("exact", "capped", "dyadic")
+    if mode not in modes:
+        raise ValueError(f"unknown arithmetic mode {mode!r}")
+    return _Orbit(
+        system,
+        x0,
+        bit_cap=bit_cap if mode == "capped" else None,
+        dyadic_bits=dyadic_bits if mode == "dyadic" else None,
+    )
+
+
 def orbit(system, x0, horizon, mode="capped", bit_cap=DEFAULT_BIT_CAP, dyadic_bits=53):
     """Iterate the system, recording states and the itinerary.
 
@@ -450,28 +516,9 @@ def orbit(system, x0, horizon, mode="capped", bit_cap=DEFAULT_BIT_CAP, dyadic_bi
     (raise BitSizeExceeded past bit_cap) or 'dyadic' (round each state,
     marking the trace inexact).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if mode not in ("exact", "capped", "dyadic"):
-        raise ValueError(f"unknown arithmetic mode {mode!r}")
-    run = _Orbit(
-        system,
-        x0,
-        bit_cap=bit_cap if mode == "capped" else None,
-        dyadic_bits=dyadic_bits if mode == "dyadic" else None,
-    )
-    states = [run.start]
-    itinerary = []
-    seen = {hash(run.start_state): [0]}
-    verdict = Unresolved(horizon)
-    for t, cell, state in run.steps(horizon):
-        itinerary.append(cell)
-        states.append(_simplex(state))
-        t0 = _first_recurrence(seen, states, state)
-        if t0 is not None:
-            verdict = Periodic(transient=t0, period=t + 1 - t0)
-            break
-    return OrbitTrace(states, itinerary, verdict, run.inexact)
+    run = _mode_orbit(system, x0, horizon, mode, bit_cap, dyadic_bits)
+    states, itinerary, verdict = run.classify(horizon)
+    return run.trace(states, itinerary, verdict or PeriodVerdict(UNRESOLVED, horizon=horizon))
 
 
 def _rows_of(m):
@@ -541,20 +588,10 @@ def stationary_distribution(p):
     solution (primitive P)."""
     rows = _rows_of(p)
     n = len(rows)
-    aug = []
-    for j in range(n):
-        coeffs = [rows[i][j] - (1 if i == j else 0) for i in range(n)]
-        aug.append(coeffs + [Fraction(0)])
-    aug.append([Fraction(1)] * n + [Fraction(1)])
-    reduced, pivots = rref(aug, ncols=n)
-    for row in reduced:
-        if all(v == 0 for v in row[:n]) and row[n] != 0:
-            raise NotPrimitive("stationary equations are inconsistent")
-    if len(pivots) < n:
-        raise NotPrimitive("stationary distribution is not unique")
-    sol = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        sol[c] = reduced[r][n]
+    equations = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
+    sol = solve_unique(equations + [[Fraction(1)] * n], [Fraction(0)] * n + [Fraction(1)])
+    if sol is None:
+        raise NotPrimitive("no unique stationary distribution")
     return SimplexVector(sol)
 
 
@@ -631,6 +668,44 @@ def kronecker_variance_lift(a, b, xi, threshold):
 # Config text format and trace output
 
 
+def _read_config(text, read_line):
+    """Line loop shared by the config formats.
+
+    Blank and '#' lines are skipped, and a ValueError raised on a line
+    is reported as a ConfigFormatError carrying its number.
+    read_line(line) reads one line; when the line opens an n x n matrix
+    it returns (n, the line's entries, done). The matrix may continue
+    over the following lines; once all n*n entries are in, done(rows)
+    receives them, and its errors carry the line the matrix opened on.
+    """
+    matrix = None  # (n, entries, opening line, done) while one is open
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        at = lineno
+        try:
+            if matrix is None:
+                opened = read_line(line)
+                if opened is None:
+                    continue
+                n, tokens, done = opened
+                matrix = (n, [], lineno, done)
+            else:
+                tokens = line.split()
+            n, values, start, done = matrix
+            values.extend(parse_rational(tok) for tok in tokens)
+            if len(values) > n * n:
+                raise ValueError("too many matrix entries")
+            if len(values) == n * n:
+                matrix, at = None, start
+                done([values[i * n : (i + 1) * n] for i in range(n)])
+        except ValueError as exc:
+            raise ConfigFormatError(str(exc), at) from exc
+    if matrix is not None:
+        raise ConfigFormatError("matrix entries missing", matrix[2])
+
+
 def read_mis_config(text):
     """Parse the system config format.
 
@@ -646,21 +721,43 @@ def read_mis_config(text):
     unchecked = False
     hyperplanes = []
     cells = []
-    pending = None  # (pattern, collected rationals, start line)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            n, omega, delta, unchecked, pending = _config_line(
-                line, lineno, n, omega, delta, unchecked, pending, hyperplanes, cells
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigFormatError):
-                raise
-            raise ConfigFormatError(str(exc), lineno) from exc
-    if pending is not None:
-        raise ConfigFormatError("matrix entries missing", pending[2])
+
+    def read_line(line):
+        nonlocal n, omega, delta, unchecked
+        if line.startswith("n="):
+            n = int(line[2:])
+        elif line.startswith("omega="):
+            omega = parse_rational(line[6:])
+        elif line.startswith("delta="):
+            delta = parse_rational(line[6:])
+        elif line.startswith("unchecked="):
+            unchecked = line[10:].strip() == "1"
+        elif line.startswith("hyperplane:"):
+            if n is None:
+                raise ValueError("hyperplane before n=")
+            coeffs = [parse_rational(tok) for tok in line[len("hyperplane:"):].split()]
+            if len(coeffs) != n:
+                raise ValueError(f"hyperplane needs {n} coefficients, got {len(coeffs)}")
+            hyperplanes.append(Hyperplane(tuple(coeffs)))
+        elif line.startswith("cell:"):
+            if n is None:
+                raise ValueError("cell before n=")
+            rest = line[len("cell:"):].split()
+            if not rest:
+                raise ValueError("cell line needs a sign pattern")
+            pattern = "" if rest[0] == "." else rest[0]
+            if len(pattern) != len(hyperplanes):
+                raise ValueError(
+                    f"pattern {pattern!r} does not cover {len(hyperplanes)} hyperplanes"
+                )
+            if len(rest) < 2 or rest[1] != "matrix:":
+                raise ValueError("expected 'matrix:' after the pattern")
+            return n, rest[2:], lambda rows: cells.append(_config_cell(pattern, rows, unchecked))
+        else:
+            raise ValueError(f"unrecognized line {line!r}")
+        return None
+
+    _read_config(text, read_line)
     if n is None:
         raise ConfigFormatError("missing n=", 1)
     kwargs = {}
@@ -671,71 +768,47 @@ def read_mis_config(text):
     return MISystem(n, hyperplanes, cells, **kwargs)
 
 
-def _config_line(line, lineno, n, omega, delta, unchecked, pending, hyperplanes, cells):
-    if pending is not None:
-        pattern, values, start = pending
-        values.extend(parse_rational(tok) for tok in line.split())
-        if len(values) > n * n:
-            raise ConfigFormatError("too many matrix entries", lineno)
-        if len(values) == n * n:
-            cells.append(_finish_cell(pattern, values, n, start, unchecked))
-            pending = None
-        return n, omega, delta, unchecked, pending
-    if line.startswith("n="):
-        n = int(line[2:])
-    elif line.startswith("omega="):
-        omega = parse_rational(line[6:])
-    elif line.startswith("delta="):
-        delta = parse_rational(line[6:])
-    elif line.startswith("unchecked="):
-        unchecked = line[10:].strip() == "1"
-    elif line.startswith("hyperplane:"):
-        if n is None:
-            raise ConfigFormatError("hyperplane before n=", lineno)
-        coeffs = [parse_rational(tok) for tok in line[len("hyperplane:"):].split()]
-        if len(coeffs) != n:
-            raise ConfigFormatError(
-                f"hyperplane needs {n} coefficients, got {len(coeffs)}", lineno
-            )
-        hyperplanes.append(Hyperplane(tuple(coeffs)))
-    elif line.startswith("cell:"):
-        if n is None:
-            raise ConfigFormatError("cell before n=", lineno)
-        rest = line[len("cell:"):].split()
-        if not rest:
-            raise ConfigFormatError("cell line needs a sign pattern", lineno)
-        pattern = "" if rest[0] == "." else rest[0]
-        if len(pattern) != len(hyperplanes):
-            raise ConfigFormatError(
-                f"pattern {pattern!r} does not cover {len(hyperplanes)} hyperplanes",
-                lineno,
-            )
-        if len(rest) < 2 or rest[1] != "matrix:":
-            raise ConfigFormatError("expected 'matrix:' after the pattern", lineno)
-        values = [parse_rational(tok) for tok in rest[2:]]
-        if len(values) > n * n:
-            raise ConfigFormatError("too many matrix entries", lineno)
-        if len(values) == n * n:
-            cells.append(_finish_cell(pattern, values, n, lineno, unchecked))
-        else:
-            pending = (pattern, values, lineno)
-    else:
-        raise ConfigFormatError(f"unrecognized line {line!r}", lineno)
-    return n, omega, delta, unchecked, pending
-
-
-def _finish_cell(pattern, values, n, lineno, unchecked):
-    rows = [values[i * n : (i + 1) * n] for i in range(n)]
-    try:
-        matrix = StochasticMatrix(rows, allow_zero_diagonal=True)
-    except ValueError as exc:
-        raise ConfigFormatError(str(exc), lineno) from exc
+def _config_cell(pattern, rows, unchecked):
+    matrix = StochasticMatrix(rows, allow_zero_diagonal=True)
     if not unchecked and not matrix.has_positive_diagonal():
-        raise ConfigFormatError(
-            "cell matrix has a zero diagonal entry (set unchecked=1 to allow)",
-            lineno,
-        )
+        raise ValueError("cell matrix has a zero diagonal entry (set unchecked=1 to allow)")
     return Cell(pattern, matrix)
+
+
+def read_lift_config(text):
+    """Parse a variance-threshold pair for kronecker_variance_lift.
+
+    Lines: n=<k>, `xi: <n rationals>`, `threshold: <p/q>`, then
+    `A: <n*n rationals>` and `B: <n*n rationals>` (each matrix may
+    continue on following lines). Returns (A, B, xi, threshold).
+    """
+    n = xi = threshold = None
+    matrices = {}
+
+    def read_line(line):
+        nonlocal n, xi, threshold
+        if line.startswith("n="):
+            n = int(line[2:])
+        elif line.startswith("xi:"):
+            xi = [parse_rational(tok) for tok in line[3:].split()]
+        elif line.startswith("threshold:"):
+            threshold = parse_rational(line[len("threshold:"):].strip())
+        elif line.startswith(("A:", "B:")):
+            if n is None:
+                raise ValueError("matrix before n=")
+
+            def done(rows):
+                matrices[line[0]] = StochasticMatrix(rows)
+
+            return n, line[2:].split(), done
+        else:
+            raise ValueError(f"unrecognized line {line!r}")
+        return None
+
+    _read_config(text, read_line)
+    if n is None or xi is None or threshold is None or set(matrices) != {"A", "B"}:
+        raise ValueError("lift input needs n=, xi:, threshold:, A: and B:")
+    return matrices["A"], matrices["B"], xi, threshold
 
 
 def write_mis_config(system):

@@ -308,3 +308,32 @@ def reference_detect_period(system, x0, horizon, sustained=3, scan_interval=16, 
             if hit is not None:
                 return hit, states
     return scan(itinerary) or ("unresolved", None, None, None), states
+
+
+# ---------------------------------------------------------------------------
+# Top-down elimination, the oracle for the rref-based helpers in rational
+
+
+def reference_dependent_rows(rows):
+    """Indices of the rows that top-down elimination reduces to zero:
+    each lies in the span of the rows above it, and the rank is the
+    number of the others."""
+    used = []  # (pivot column, reduced row) pairs
+    dependent = []
+    for idx, row in enumerate(rows):
+        row = [Fraction(v) for v in row]
+        for c, base in used:
+            if row[c] != 0:
+                f = row[c]
+                row = [v - f * w for v, w in zip(row, base)]
+        pivot = next((c for c, v in enumerate(row) if v != 0), None)
+        if pivot is None:
+            dependent.append(idx)
+            continue
+        inv = 1 / row[pivot]
+        used.append((pivot, [v * inv for v in row]))
+    return dependent
+
+
+def reference_rank(rows):
+    return len(rows) - len(reference_dependent_rows(rows))

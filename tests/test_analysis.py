@@ -165,6 +165,13 @@ def test_unresolved_when_horizon_too_short():
     assert short.status == UNRESOLVED
 
 
+@pytest.mark.parametrize("mode", ["dyadic", "bogus"])
+def test_detect_period_takes_exact_and_capped_modes_only(mode):
+    s = StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
+    with pytest.raises(ValueError, match="unknown arithmetic mode"):
+        detect_period(constant_system(s), SimplexVector((1, 0)), 10, mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # Ergodic renormalizer
 

@@ -243,17 +243,19 @@ def _one_error_line(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["simulate", "{cfg}", "--x0", "1,0", "--horizon", "0"],
-        ["simulate", "{cfg}", "--x0", "1/2,1/4,1/4"],
-        ["simulate", "{missing}", "--x0", "1,0"],
-        ["sweep", "{cfg}", "--out", "{out}", "--grid-points", "0"],
-        ["sweep", "{missing}", "--out", "{out}"],
-        ["baker", "--steps", "0", "--out", "{out}"],
-        ["baker", "--x0", "1/2,1/2", "--out", "{out}"],
-        ["parse", "{missing}"],
-        ["lift", "{lift_without_n}", "--out", "{out}"],
+        (["simulate", "{cfg}", "--x0", "1,0", "--horizon", "0"], "horizon must be at least 1"),
+        (["simulate", "{cfg}", "--x0", "1/2,1/4,1/4"], "start vector has 3 coordinates"),
+        (["simulate", "{missing}", "--x0", "1,0"], "No such file"),
+        (["sweep", "{cfg}", "--out", "{out}", "--grid-points", "0"], "--grid-points"),
+        (["sweep", "{missing}", "--out", "{out}"], "No such file"),
+        (["baker", "--steps", "0", "--out", "{out}"], "horizon must be at least 1"),
+        (["baker", "--x0", "1/2,1/2", "--out", "{out}"], "start vector has 2 coordinates"),
+        (["parse", "{missing}"], "No such file"),
+        (["lift", "{lift_without_n}", "--out", "{out}"], "line 3: matrix before n="),
+        (["lift", "{lift_extra_entries}", "--out", "{out}"], "line 4: too many matrix entries"),
+        (["lift", "{lift_not_stochastic}", "--out", "{out}"], "line 4: row 1 does not sum to 1"),
     ],
     ids=[
         "simulate-horizon-0",
@@ -265,22 +267,34 @@ def _one_error_line(capsys):
         "baker-x0-wrong-length",
         "parse-missing-file",
         "lift-without-n",
+        "lift-extra-entries",
+        "lift-not-stochastic",
     ],
 )
-def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
     cfg = tmp_path / "sys.txt"
     cfg.write_text(CONSTANT_CONFIG)
     lift_without_n = tmp_path / "lift.txt"
     lift_without_n.write_text("xi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\n")
+    lift_extra_entries = tmp_path / "lift-extra.txt"
+    lift_extra_entries.write_text(
+        "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4 9 9\nB: 3/4 1/4 1/2 1/2\n"
+    )
+    lift_not_stochastic = tmp_path / "lift-not-stochastic.txt"
+    lift_not_stochastic.write_text(
+        "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2\n  1/4 1/4\nB: 3/4 1/4 1/2 1/2\n"
+    )
     paths = {
         "cfg": str(cfg),
         "lift_without_n": str(lift_without_n),
+        "lift_extra_entries": str(lift_extra_entries),
+        "lift_not_stochastic": str(lift_not_stochastic),
         "missing": str(tmp_path / "no-such-file.txt"),
         "out": str(tmp_path / "out.csv"),
     }
     code = main([arg.format(**paths) for arg in argv])
     assert code == 2
-    _one_error_line(capsys)
+    assert message in _one_error_line(capsys)
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from misdyn.analysis import _observed_itinerary, block_product, detect_period
 from misdyn.system import (
+    EXACT_PERIODIC,
     BitSizeExceeded,
     Cell,
     Hyperplane,
     MISystem,
-    Periodic,
     StochasticMatrix,
     coefficient_of_ergodicity,
     orbit,
@@ -89,9 +89,10 @@ def test_orbit_matches_reference(case, horizon):
     assert trace.states == states
     assert trace.itinerary == itinerary
     if recurrence is None:
-        assert not isinstance(trace.verdict, Periodic)
+        assert trace.verdict.status != EXACT_PERIODIC
     else:
-        assert (trace.verdict.transient, trace.verdict.period) == recurrence
+        verdict = trace.verdict
+        assert (verdict.status, verdict.transient, verdict.period) == (EXACT_PERIODIC, *recurrence)
     # estimate_eta's itinerary runs on past recurrences and stops at a
     # hyperplane.
     observed, x = [], x0
@@ -173,6 +174,7 @@ def test_detect_period_matches_reference(case, horizon, sustained, scan_interval
     )
     assert (verdict.status, verdict.transient, verdict.period, verdict.tau_block) == expected
     assert trace.states == states
+    assert trace.verdict is verdict
     if verdict.tau_block is not None:
         if verdict.status == "exact-periodic":
             block = trace.itinerary[verdict.transient :]

@@ -7,6 +7,7 @@ import pytest
 from misdyn import digraph as dg
 from misdyn.rational import format_rational, kron, mat_inf_norm, mat_mul, parse_rational, vec_mat
 from misdyn.system import (
+    EXACT_PERIODIC,
     ON_DISCONTINUITY,
     BitSizeExceeded,
     Cell,
@@ -15,7 +16,7 @@ from misdyn.system import (
     MISystem,
     NoCellMatch,
     NotPrimitive,
-    Periodic,
+    PeriodVerdict,
     SimplexVector,
     StochasticMatrix,
     coefficient_of_ergodicity,
@@ -168,9 +169,20 @@ def test_orbit_constant_system_resolves():
     s = StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
     tr = orbit(constant_system(s), SimplexVector((1, 0)), 10)
     # (1,0) -> (1/2,1/2) -> (1/2,1/2): exact repeat after two steps.
-    assert isinstance(tr.verdict, Periodic)
+    assert tr.verdict.status == EXACT_PERIODIC
     assert tr.verdict.transient == 1 and tr.verdict.period == 1
     assert len(tr.states) == len(tr.itinerary) + 1
+
+
+def test_orbit_exact_verdict_carries_the_block_tau():
+    # (5/8, 3/8) -> (1/4, 3/4) -> (5/8, 3/8): the block product is rank
+    # one (tau 0), while the second matrix alone has tau 1/2.
+    high = StochasticMatrix([[F(1, 4), F(3, 4)], [F(1, 4), F(3, 4)]])
+    low = StochasticMatrix([[1, 0], [F(1, 2), F(1, 2)]])
+    sys_ = two_cell_system(high, low, normal=(2, 0))
+    tr = orbit(sys_, SimplexVector((F(5, 8), F(3, 8))), 10)
+    assert tr.itinerary == [0, 1]
+    assert tr.verdict == PeriodVerdict(EXACT_PERIODIC, 0, 2, F(0), 10)
 
 
 def test_orbit_on_discontinuity_is_fixed():
