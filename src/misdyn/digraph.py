@@ -1,13 +1,22 @@
 """Digraphs with mandatory self-loops and their sequence algebra.
 
-A digraph lives on vertices 0..n-1 and is stored as one bitmask per
-vertex (bit j of rows[i] set iff the edge i->j is present). The product
-g*h contains (x, y) whenever some z has (x, z) in g and (z, y) in h,
-i.e. boolean matrix multiplication; cumulants are left folds of that
-product. The transitive front tf(g) is the densest graph h with
+A digraph lives on vertices 0..n-1 and is stored as one n*n-bit
+integer: bit i*n + j is set iff the edge i->j is present, so row i (the
+out-neighbourhood of i) is the n-bit field starting at bit i*n. The
+product g*h contains (x, y) whenever some z has (x, z) in g and (z, y)
+in h, i.e. boolean matrix multiplication; cumulants are left folds of
+that product. The transitive front tf(g) is the densest graph h with
 g*h == g, and utf(g) its densest undirected counterpart.
+
+The kernels work on whole rows at once. Masking column z out of the
+flat integer leaves bit i*n set for every row i holding z, and
+multiplying that by an n-bit row copies the row into each of those rows;
+the copies sit at row boundaries and never overlap, so no carry crosses
+a row. A product or closure is therefore n big-integer multiplies,
+whatever the density.
 """
 
+import functools
 import warnings
 
 MAX_DENSE_N = 64
@@ -24,7 +33,7 @@ class SequenceFormatError(ValueError):
 
 
 class Digraph:
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "bits", "_rows")
 
     def __init__(self, n, rows):
         if not 1 <= n <= MAX_DENSE_N:
@@ -33,6 +42,7 @@ class Digraph:
         if len(rows) != n:
             raise ValueError("row count does not match vertex count")
         full = (1 << n) - 1
+        bits = 0
         for i, r in enumerate(rows):
             if r & ~full:
                 raise ValueError(f"row {i} references vertices outside 0..{n - 1}")
@@ -41,8 +51,10 @@ class Digraph:
                     f"vertex {i} has no self-loop; use Digraph.from_edges to apply "
                     "the loop policy"
                 )
+            bits |= r << (i * n)
         self.n = n
-        self.rows = rows
+        self.bits = bits
+        self._rows = rows
 
     @classmethod
     def from_edges(cls, n, edges, strict_self_loops=False):
@@ -80,44 +92,82 @@ class Digraph:
         full = (1 << n) - 1
         return cls(n, (full,) * n)
 
+    @property
+    def rows(self):
+        """Bitmask rows: bit j of rows[i] is set iff the edge i->j is
+        present. Derived from bits on first use, then kept."""
+        if self._rows is None:
+            n = self.n
+            full, bits = (1 << n) - 1, self.bits
+            self._rows = tuple(bits >> s & full for s in range(0, n * n, n))
+        return self._rows
+
     def has_edge(self, i, j):
-        return bool(self.rows[i] & (1 << j))
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"vertex pair ({i}, {j}) outside 0..{self.n - 1}")
+        return bool(self.bits >> (i * self.n + j) & 1)
 
     def edges(self, include_loops=False):
-        for i in range(self.n):
-            r = self.rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                r &= r - 1
+        for i, r in enumerate(self.rows):
+            for j in _vertices(r):
                 if include_loops or i != j:
                     yield (i, j)
 
     def edge_count(self, include_loops=False):
-        total = sum(r.bit_count() for r in self.rows)
+        total = self.bits.bit_count()
         return total if include_loops else total - self.n
 
     def in_masks(self):
         """Column bitmasks: in_masks()[j] holds the in-neighborhood of j."""
-        cols = [0] * self.n
-        for i in range(self.n):
-            r = self.rows[i]
-            while r:
-                j = (r & -r).bit_length() - 1
-                r &= r - 1
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return reverse(self).rows
 
     def __eq__(self, other):
         return (
-            isinstance(other, Digraph) and self.n == other.n and self.rows == other.rows
+            isinstance(other, Digraph) and self.n == other.n and self.bits == other.bits
         )
 
     def __hash__(self):
-        return hash((self.n, self.rows))
+        return hash((self.n, self.bits))
 
     def __repr__(self):
         es = sorted(self.edges())
         return f"Digraph(n={self.n}, edges={es})"
+
+
+def _vertices(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _digraph(n, bits):
+    """A Digraph from kernel output, which holds every self-loop by
+    construction, so the constructor's checks are skipped."""
+    g = object.__new__(Digraph)
+    g.n = n
+    g.bits = bits
+    g._rows = None
+    return g
+
+
+@functools.cache
+def _colmask(n):
+    """Bit i*n set for every row i: column 0 of the flat layout."""
+    return ((1 << n * n) - 1) // ((1 << n) - 1)
+
+
+def _compose(n, gbits, hrows):
+    """Flat bits of the boolean product of g (flat) and h (rows, not
+    necessarily with self-loops): row z of h is copied into every row of
+    g that holds z."""
+    colmask = _colmask(n)
+    acc = 0
+    for z, r in enumerate(hrows):
+        if r:
+            acc |= (gbits >> z & colmask) * r
+    return acc
 
 
 def _check_same_n(g, h):
@@ -128,16 +178,11 @@ def _check_same_n(g, h):
 def product(g, h):
     """Composition g*h: (x, y) present iff some z has (x, z) in g, (z, y) in h."""
     _check_same_n(g, h)
-    out = []
-    for i in range(g.n):
-        r = g.rows[i]
-        m = 0
-        while r:
-            z = (r & -r).bit_length() - 1
-            r &= r - 1
-            m |= h.rows[z]
-        out.append(m)
-    return Digraph(g.n, out)
+    n = g.n
+    # The self-loop of row z of h only copies column z of g, so g itself
+    # stands in for every self-loop and each row of h is spread without it.
+    rest = [r ^ (1 << z) for z, r in enumerate(h.rows)]
+    return _digraph(n, g.bits | _compose(n, g.bits, rest))
 
 
 def cumulant(seq):
@@ -152,41 +197,34 @@ def cumulant(seq):
 
 
 def transitive_closure(g):
-    c = g
-    while True:
-        c2 = product(c, c)
-        if c2 == c:
-            return c
-        c = c2
+    """Reachability closure by Warshall's algorithm on the flat layout:
+    step k copies row k into every row that reaches k."""
+    n = g.n
+    full, colmask = (1 << n) - 1, _colmask(n)
+    bits = g.bits
+    for k in range(n):
+        row = bits >> (k * n) & full
+        if row != 1 << k:
+            bits |= (bits >> k & colmask) * row
+    return g if bits == g.bits else _digraph(n, bits)
 
 
 def transitive_front(g):
     """Densest h with g*h == g; edge (i, j) iff in-nbhd(i) is a subset of
     in-nbhd(j)."""
-    cols = g.in_masks()
-    out = []
-    for i in range(g.n):
-        m = 0
-        ci = cols[i]
-        for j in range(g.n):
-            if ci & ~cols[j] == 0:
-                m |= 1 << j
-        out.append(m)
-    return Digraph(g.n, out)
+    n = g.n
+    full = (1 << n) - 1
+    # (i, j) is missing iff some k has k->i but not k->j: the product of
+    # the reverse of g with the complement of g.
+    missing = _compose(n, reverse(g).bits, [r ^ full for r in g.rows])
+    return _digraph(n, missing ^ ((1 << n * n) - 1))
 
 
 def undirected_transitive_front(g):
     """Densest undirected h with g*h == g; a disjoint union of cliques with
     edge (i, j) iff the in-neighborhoods of i and j coincide."""
-    cols = g.in_masks()
-    out = []
-    for i in range(g.n):
-        m = 0
-        for j in range(g.n):
-            if cols[i] == cols[j]:
-                m |= 1 << j
-        out.append(m)
-    return Digraph(g.n, out)
+    tf = transitive_front(g)
+    return _digraph(g.n, tf.bits & reverse(tf).bits)
 
 
 def is_transitive(g):
@@ -194,12 +232,11 @@ def is_transitive(g):
 
 
 def is_clique(g):
-    full = (1 << g.n) - 1
-    return all(r == full for r in g.rows)
+    return g.bits == (1 << g.n * g.n) - 1
 
 
 def is_undirected(g):
-    return g.rows == reverse(g).rows
+    return g.bits == reverse(g).bits
 
 
 def is_strongly_connected(g):
@@ -207,30 +244,30 @@ def is_strongly_connected(g):
 
 
 def reverse(g):
-    cols = g.in_masks()
-    return Digraph(g.n, cols)
+    """Transpose of the flat bit matrix, by string slicing: after the
+    first reversal s[i*n + j] is the edge i->j, so s[j::n] is column j."""
+    n = g.n
+    s = format(g.bits, f"0{n * n}b")[::-1]
+    return _digraph(n, int("".join(s[j::n] for j in range(n))[::-1], 2))
 
 
 def ordering_leq(g, h):
     """Edge-set inclusion g <= h."""
     _check_same_n(g, h)
-    return all(rg & ~rh == 0 for rg, rh in zip(g.rows, h.rows))
+    return not g.bits & ~h.bits
 
 
 def scc_partition(g):
     """Strongly connected components as frozensets, ordered by least vertex."""
     cl = transitive_closure(g)
+    mutual = _digraph(g.n, cl.bits & reverse(cl).bits).rows
     seen = 0
     blocks = []
-    for i in range(g.n):
-        if seen & (1 << i):
+    for i, members in enumerate(mutual):
+        if seen >> i & 1:
             continue
-        members = 0
-        for j in range(g.n):
-            if cl.rows[i] >> j & 1 and cl.rows[j] >> i & 1:
-                members |= 1 << j
         seen |= members
-        blocks.append(frozenset(b for b in range(g.n) if members >> b & 1))
+        blocks.append(frozenset(_vertices(members)))
     return blocks
 
 
@@ -266,6 +303,10 @@ def read_sequence_text(text):
                 raise SequenceFormatError(f"bad vertex count in {line!r}", lineno) from None
             if n is not None and k != n:
                 raise SequenceFormatError(f"vertex count changed from {n} to {k}", lineno)
+            if not 1 <= k <= MAX_DENSE_N:
+                raise SequenceFormatError(
+                    f"vertex count {k} outside dense range 1..{MAX_DENSE_N}", lineno
+                )
             n = k
             rows = [1 << i for i in range(n)]
             in_graph = True

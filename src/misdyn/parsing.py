@@ -69,9 +69,10 @@ class ParseNode:
         """Transitive coarse-graining of this node's cumulant.
 
         Special nodes carry their annotation; other nodes use the
-        transitive closure of the cached cumulant (recomputed on demand,
-        since the cumulant of a node on the rightmost path may still
-        grow)."""
+        transitive closure of the cached cumulant, computed on each call.
+        A built node's cumulant never changes (appends that reach it are
+        stuck, so they absorb into it); only backward_parse rewrites it,
+        once, to restore the stored direction."""
         if self.kind == SPECIAL:
             return self.annotation
         return transitive_closure(self.cumulant)
@@ -424,14 +425,23 @@ def backward_parse(seq):
     return tree
 
 
-def _reverse_stored(node):
-    if node is None:
-        return
-    if node.cumulant is not None:
-        node.cumulant = reverse(node.cumulant)
-    if node.graph is not None:
-        node.graph = reverse(node.graph)
-    if node.annotation is not None:
-        node.annotation = reverse(node.annotation)
-    for child in node.children:
-        _reverse_stored(child)
+def _reverse_stored(root):
+    # A leaf's graph is also its cumulant, and parents often share their
+    # cumulant with a child, so each distinct graph is reversed once.
+    reversed_of = {}
+
+    def flip(g):
+        if g is None:
+            return None
+        r = reversed_of.get(g)
+        if r is None:
+            r = reversed_of[g] = reverse(g)
+        return r
+
+    stack = [root] if root is not None else []
+    while stack:
+        node = stack.pop()
+        node.cumulant = flip(node.cumulant)
+        node.graph = flip(node.graph)
+        node.annotation = flip(node.annotation)
+        stack.extend(node.children)

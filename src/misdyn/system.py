@@ -673,10 +673,11 @@ def _read_config(text, read_line):
 
     Blank and '#' lines are skipped, and a ValueError raised on a line
     is reported as a ConfigFormatError carrying its number.
-    read_line(line) reads one line; when the line opens an n x n matrix
-    it returns (n, the line's entries, done). The matrix may continue
-    over the following lines; once all n*n entries are in, done(rows)
-    receives them, and its errors carry the line the matrix opened on.
+    read_line(line, lineno) reads one line; when the line opens an n x n
+    matrix it returns (n, the line's entries, done). The matrix may
+    continue over the following lines; once all n*n entries are in,
+    done(rows) receives them, and its errors carry the line the matrix
+    opened on.
     """
     matrix = None  # (n, entries, opening line, done) while one is open
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -686,7 +687,7 @@ def _read_config(text, read_line):
         at = lineno
         try:
             if matrix is None:
-                opened = read_line(line)
+                opened = read_line(line, lineno)
                 if opened is None:
                     continue
                 n, tokens, done = opened
@@ -722,7 +723,7 @@ def read_mis_config(text):
     hyperplanes = []
     cells = []
 
-    def read_line(line):
+    def read_line(line, _lineno):
         nonlocal n, omega, delta, unchecked
         if line.startswith("n="):
             n = int(line[2:])
@@ -782,15 +783,16 @@ def read_lift_config(text):
     `A: <n*n rationals>` and `B: <n*n rationals>` (each matrix may
     continue on following lines). Returns (A, B, xi, threshold).
     """
-    n = xi = threshold = None
+    n = xi = threshold = xi_line = None
     matrices = {}
 
-    def read_line(line):
-        nonlocal n, xi, threshold
+    def read_line(line, lineno):
+        nonlocal n, xi, threshold, xi_line
         if line.startswith("n="):
             n = int(line[2:])
         elif line.startswith("xi:"):
             xi = [parse_rational(tok) for tok in line[3:].split()]
+            xi_line = lineno
         elif line.startswith("threshold:"):
             threshold = parse_rational(line[len("threshold:"):].strip())
         elif line.startswith(("A:", "B:")):
@@ -808,6 +810,8 @@ def read_lift_config(text):
     _read_config(text, read_line)
     if n is None or xi is None or threshold is None or set(matrices) != {"A", "B"}:
         raise ValueError("lift input needs n=, xi:, threshold:, A: and B:")
+    if len(xi) != n:
+        raise ConfigFormatError(f"xi has {len(xi)} entries for n={n}", xi_line)
     return matrices["A"], matrices["B"], xi, threshold
 
 

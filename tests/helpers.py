@@ -104,6 +104,18 @@ def oracle_scc(g):
     return blocks
 
 
+def oracle_fronts(g):
+    """(tf, utf) from their definitions on explicit in-neighbourhood sets:
+    (i, j) is in tf iff in(i) is a subset of in(j), and in utf iff the
+    two sets are equal."""
+    n = g.n
+    ins = [{u for u, v in edge_set(g) if v == j} for j in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    tf = graph_from_edge_set(n, {(i, j) for i, j in pairs if ins[i] <= ins[j]})
+    utf = graph_from_edge_set(n, {(i, j) for i, j in pairs if ins[i] == ins[j]})
+    return tf, utf
+
+
 # ---------------------------------------------------------------------------
 # Random systems
 

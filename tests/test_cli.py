@@ -256,6 +256,10 @@ def _one_error_line(capsys):
         (["lift", "{lift_without_n}", "--out", "{out}"], "line 3: matrix before n="),
         (["lift", "{lift_extra_entries}", "--out", "{out}"], "line 4: too many matrix entries"),
         (["lift", "{lift_not_stochastic}", "--out", "{out}"], "line 4: row 1 does not sum to 1"),
+        (["lift", "{lift_xi_long}", "--out", "{out}"], "line 2: xi has 3 entries for n=2"),
+        (["lift", "{lift_xi_before_n}", "--out", "{out}"], "line 1: xi has 3 entries for n=2"),
+        (["parse", "{seq_n65}"], "line 1: vertex count 65 outside dense range 1..64"),
+        (["parse", "{seq_n0}"], "line 1: vertex count 0 outside dense range 1..64"),
     ],
     ids=[
         "simulate-horizon-0",
@@ -269,6 +273,10 @@ def _one_error_line(capsys):
         "lift-without-n",
         "lift-extra-entries",
         "lift-not-stochastic",
+        "lift-xi-too-long",
+        "lift-xi-before-n",
+        "parse-n-65",
+        "parse-n-0",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
@@ -284,11 +292,27 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
     lift_not_stochastic.write_text(
         "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2\n  1/4 1/4\nB: 3/4 1/4 1/2 1/2\n"
     )
+    lift_xi_long = tmp_path / "lift-xi-long.txt"
+    lift_xi_long.write_text(
+        "n=2\nxi: 0 1 2\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n"
+    )
+    lift_xi_before_n = tmp_path / "lift-xi-before-n.txt"
+    lift_xi_before_n.write_text(
+        "xi: 0 1 2\nn=2\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n"
+    )
+    seq_n65 = tmp_path / "seq-n65.txt"
+    seq_n65.write_text("n=65\n1 2\n")
+    seq_n0 = tmp_path / "seq-n0.txt"
+    seq_n0.write_text("n=0\n")
     paths = {
         "cfg": str(cfg),
         "lift_without_n": str(lift_without_n),
         "lift_extra_entries": str(lift_extra_entries),
         "lift_not_stochastic": str(lift_not_stochastic),
+        "lift_xi_long": str(lift_xi_long),
+        "lift_xi_before_n": str(lift_xi_before_n),
+        "seq_n65": str(seq_n65),
+        "seq_n0": str(seq_n0),
         "missing": str(tmp_path / "no-such-file.txt"),
         "out": str(tmp_path / "out.csv"),
     }

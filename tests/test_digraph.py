@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from misdyn import digraph as dg
 from misdyn.digraph import Digraph, SelfLoopError, SequenceFormatError
@@ -11,6 +13,7 @@ from helpers import (
     edge_set,
     graph_from_edge_set,
     oracle_closure,
+    oracle_fronts,
     oracle_product,
     oracle_scc,
     oracle_temporal_reach,
@@ -226,9 +229,60 @@ def test_scc_partition_matches_oracle():
         assert sorted(dg.scc_partition(g), key=min) == sorted(oracle_scc(g), key=min)
 
 
-def test_sequence_text_roundtrip():
-    rng = random.Random(13)
-    seq = [random_digraph(rng, 4, 0.3) for _ in range(5)]
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, dg.MAX_DENSE_N),
+    p=st.floats(0, 1),
+    q=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, p=0.0, q=1.0, seed=0)
+@example(n=2, p=1.0, q=0.0, seed=1)
+@example(n=63, p=0.05, q=1.0, seed=2)
+@example(n=64, p=1.0, q=0.02, seed=3)
+@example(n=64, p=0.0, q=0.1, seed=4)
+def test_kernels_match_edge_set_oracles_at_every_vertex_count(n, p, q, seed):
+    # The flat layout's row stride is n, so every vertex count is its own case.
+    rng = random.Random(seed)
+    g = random_digraph(rng, n, p)
+    h = random_digraph(rng, n, q)
+    eg, eh = edge_set(g), edge_set(h)
+    gh = dg.product(g, h)
+    assert gh == oracle_product(g, h)
+    rev = dg.reverse(g)
+    assert edge_set(rev) == {(j, i) for i, j in eg}
+    in_masks = [0] * n
+    for i, j in eg:
+        in_masks[j] |= 1 << i
+    assert g.in_masks() == tuple(in_masks)
+    closure = oracle_closure(g)
+    assert dg.transitive_closure(g) == closure
+    assert dg.is_transitive(g) == (closure == g)
+    assert sorted(dg.scc_partition(g), key=min) == sorted(oracle_scc(g), key=min)
+    tf, utf = oracle_fronts(g)
+    assert dg.transitive_front(g) == tf
+    assert dg.undirected_transitive_front(g) == utf
+    assert dg.ordering_leq(g, h) == (eg <= eh)
+    assert dg.ordering_leq(g, closure)
+    # Kernel results derive their rows from the flat bits.
+    for k in (gh, rev, tf):
+        assert Digraph(n, k.rows) == k
+        assert Digraph.from_edges(n, k.edges(include_loops=True)).rows == k.rows
+        assert k.edge_count(include_loops=True) == len(edge_set(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, dg.MAX_DENSE_N),
+    length=st.integers(1, 6),
+    p=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, length=5, p=0.3, seed=13)
+@example(n=64, length=2, p=1.0, seed=0)
+def test_sequence_text_roundtrip(n, length, p, seed):
+    rng = random.Random(seed)
+    seq = [random_digraph(rng, n, p) for _ in range(length)]
     text = dg.write_sequence_text(seq)
     assert dg.read_sequence_text(text) == seq
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from misdyn import digraph as dg
 from misdyn.digraph import Digraph
@@ -147,6 +149,30 @@ def test_online_equals_batch_with_snapshots():
             snapshots.append(online.copy())
         for k, snap in enumerate(snapshots, start=1):
             assert snap == parse(seq[:k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    length=st.integers(1, 16),
+    p=st.floats(0, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, length=12, p=0.03, seed=0)
+def test_parser_invariants(n, length, p, seed):
+    rng = random.Random(seed)
+    seq = [random_digraph(rng, n, p) for _ in range(length)]
+    online = ParseTree()
+    snapshots = []
+    for g in seq:
+        online.append(g)
+        assert online.depth() <= depth_bound(n)
+        snapshots.append(online.copy())
+    assert online.cumulant == dg.cumulant(seq)
+    for k, snap in enumerate(snapshots, start=1):
+        assert snap == parse(seq[:k])
+    # Backward parsing folds the sequence right to left.
+    assert backward_parse(seq).cumulant == dg.cumulant(seq[::-1])
 
 
 def test_cumulant_caches_consistent():
