@@ -26,22 +26,21 @@ from .system import (
     DEFAULT_BIT_CAP,
     NoCellMatch,
     PeriodVerdict,
+    _int_tau,
+    _IntCells,
     _mode_orbit,
     _Orbit,
-    coefficient_of_ergodicity,
-    is_primitive,
+    _support_is_primitive,
     perron_decomposition,
     sample_simplex,
+    support_masks,
 )
 
 
 def block_product(system, cells):
     """Matrix product along a run of cell indices, in step order."""
-    acc = None
-    for c in cells:
-        rows = system.cells[c].matrix.rows
-        acc = rows if acc is None else mat_mul(acc, rows)
-    return acc
+    k, e = _IntCells(system).product(tuple(cells))
+    return tuple(tuple(Fraction(v, e) for v in row) for row in k)
 
 
 def _scan_asymptotic(cells, itinerary, sustained, sigma_cap, horizon):
@@ -79,10 +78,10 @@ def detect_period(
     for a deterministic map the first recurrence pins both the transient
     and the minimal period. Otherwise the itinerary is scanned for a
     sustained repeating cell block whose matrix product contracts
-    (tau < 1); a periodic symbolic itinerary plus contraction forces
-    geometric convergence to a periodic orbit, so that outcome is
-    reported as asymptotically periodic with the smallest such block
-    length. Anything else is unresolved at this horizon.
+    (tau < 1), and the smallest such block length is reported as
+    asymptotically periodic. That verdict is heuristic: contraction
+    forces convergence only if the itinerary keeps repeating the block,
+    which is not checked. Anything else is unresolved at this horizon.
     """
     run = _mode_orbit(system, x0, horizon, mode, bit_cap)
 
@@ -157,12 +156,11 @@ def _observed_itinerary(system, x0, horizon):
 
 
 def _all_windows_good(system, windows):
-    half = Fraction(1, 2)
+    """True iff every window's block product is primitive with tau < 1/2."""
+    cells = _IntCells(system)
     for window in windows:
-        prod = block_product(system, window)
-        if not is_primitive(prod):
-            return False
-        if coefficient_of_ergodicity(prod) >= half:
+        k, e = cells.product(window)
+        if not _support_is_primitive(support_masks(k)) or _int_tau(k, e) >= Fraction(1, 2):
             return False
     return True
 
@@ -175,55 +173,15 @@ def is_irreducible(system):
 def weak_irreducibility_partition(system):
     """Vertex blocks within which every cell is strongly connected and
     between which no cell ever has an edge; None when no such partition
-    exists. The candidate is the join of the per-cell strongly connected
-    component partitions, then both properties are verified directly.
+    exists. It exists exactly when every cell's support has the same
+    reachability closure and that closure is symmetric (an equivalence
+    relation); its classes are then the blocks.
     """
-    n = system.n
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for cell in system.cells:
-        for block in dg.scc_partition(cell.matrix.support()):
-            members = sorted(block)
-            for other in members[1:]:
-                union(members[0], other)
-    grouped = {}
-    for i in range(n):
-        grouped.setdefault(find(i), []).append(i)
-    partition = [frozenset(b) for b in sorted(grouped.values())]
-    lookup = {}
-    for idx, block in enumerate(partition):
-        for v in block:
-            lookup[v] = idx
-    for cell in system.cells:
-        support = cell.matrix.support()
-        for u, v in support.edges():
-            if lookup[u] != lookup[v]:
-                return None
-        for block in partition:
-            members = sorted(block)
-            index = {v: k for k, v in enumerate(members)}
-            rows = []
-            for v in members:
-                mask = 0
-                for w in members:
-                    if support.has_edge(v, w):
-                        mask |= 1 << index[w]
-                rows.append(mask)
-            induced = dg.Digraph(len(members), rows)
-            if not dg.is_strongly_connected(induced):
-                return None
-    return partition
+    closures = {dg.transitive_closure(cell.matrix.support()) for cell in system.cells}
+    if len(closures) != 1:
+        return None
+    (closure,) = closures
+    return dg.scc_partition(closure) if dg.is_undirected(closure) else None
 
 
 def check_invariant_sums(system, partition, trace):

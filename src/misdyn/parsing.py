@@ -289,11 +289,6 @@ def _leaf(index, g):
     return ParseNode(LEAF, graph_index=index, graph=g, cumulant=g)
 
 
-def parser_append(tree, g):
-    """Append one graph to the tree (mutating the rightmost path)."""
-    return tree.append(g)
-
-
 def parse(seq, n=None):
     """Parse a finite digraph sequence into its temporal parse tree."""
     tree = ParseTree(n or 0)
@@ -385,24 +380,28 @@ def decorate_topological(tree):
         parents.append(parent)
     sketches = [node.sketch() for node in nodes]
     effective = [None] * len(nodes)
+    blocks = [None] * len(nodes)  # clique blocks of effective[i]
     productions = [None] * len(nodes)
     effective[0] = sketches[0]
+    blocks[0] = scc_partition(sketches[0])
     for i in range(1, len(nodes)):
         above = effective[parents[i]]
         if ordering_leq(sketches[i], above):
             effective[i] = sketches[i]
-            productions[i] = _refinement(above, sketches[i])
+            blocks[i] = scc_partition(sketches[i])
+            productions[i] = _refinement(blocks[parents[i]], blocks[i])
         else:
             # Re-wrapped special repeating an ancestor annotation.
             if not nodes[i].is_special:
                 raise AssertionError("sketch chain broke at an ordinary node")
             effective[i] = above
+            blocks[i] = blocks[parents[i]]
     return TopologicalDecoration(nodes, parents, sketches, effective, productions)
 
 
-def _refinement(coarse, fine):
-    vs = scc_partition(coarse)
-    ws = scc_partition(fine)
+def _refinement(vs, ws):
+    """(V, [W, ...]) pairs matching each coarse block V to the fine blocks
+    partitioning it."""
     out = []
     for v in vs:
         members = [w for w in ws if w <= v]

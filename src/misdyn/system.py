@@ -25,7 +25,6 @@ from .rational import (
     mat_inf_norm,
     parse_rational,
     solve_unique,
-    vec_dot,
 )
 
 DEFAULT_BIT_CAP = 1 << 16
@@ -137,9 +136,6 @@ class Hyperplane:
         if all(v == 0 for v in self.normal):
             raise ValueError("hyperplane normal is zero")
 
-    def evaluate(self, x):
-        return vec_dot(self.normal, x)
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -185,13 +181,6 @@ class MISystem:
     def with_delta(self, delta):
         return MISystem(self.n, self.hyperplanes, self.cells, delta=delta, omega=self.omega)
 
-    def sign_vector(self, x):
-        threshold = 1 + self.delta
-        return tuple(
-            0 if (v := h.evaluate(x)) == threshold else (1 if v > threshold else -1)
-            for h in self.hyperplanes
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, MISystem)
@@ -206,15 +195,7 @@ class MISystem:
 def locate_cell(system, x):
     """Index of the first cell whose pattern matches the sign vector of x,
     or ON_DISCONTINUITY when some hyperplane holds with equality."""
-    signs = system.sign_vector(x)
-    if any(s == 0 for s in signs):
-        return ON_DISCONTINUITY
-    for idx, cell in enumerate(system.cells):
-        if all(
-            p == "*" or (p == "+") == (s > 0) for p, s in zip(cell.pattern, signs)
-        ):
-            return idx
-    raise NoCellMatch(signs)
+    return _IntCells(system).locate(*_int_state(as_fraction_vector(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +208,24 @@ def locate_cell(system, x):
 # and each hyperplane test a.x vs 1 + delta becomes one integer
 # comparison of A.p against c * D. A step is then p -> p K over D * E,
 # reduced by one gcd.
+
+
+def _int_matrix(rows):
+    """(K, E) of a rational matrix: E the lcm of its entry denominators
+    and K = E * rows, the integer matrix."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
+
+
+def _int_tau(k, e):
+    """Coefficient of ergodicity of K / E: max_(i<j) sum |K_i - K_j| / (2 E)."""
+    best = 0
+    for i in range(len(k)):
+        for j in range(i + 1, len(k)):
+            d = sum([abs(a - b) for a, b in zip(k[i], k[j])])
+            if d > best:
+                best = d
+    return Fraction(best, 2 * e)
 
 
 class _IntCells:
@@ -244,24 +243,25 @@ class _IntCells:
             )
             self.planes.append((coeffs, threshold.numerator * scale))
         self.patterns = [cell.pattern for cell in system.cells]
-        self.matrices = []  # (K rows, E) per cell
-        self.columns = []  # per cell, per column j: ((i, K_ij), ...) nonzero only
-        for cell in system.cells:
-            rows = cell.matrix.rows
-            scale = math.lcm(*(v.denominator for row in rows for v in row))
-            k = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
-            self.matrices.append((k, scale))
-            self.columns.append(
-                tuple(
-                    tuple((i, row[j]) for i, row in enumerate(k) if row[j])
-                    for j in range(len(k))
-                )
-            )
+        self.matrices = [_int_matrix(cell.matrix.rows) for cell in system.cells]  # (K, E)
+        self.columns = [  # per cell, per column j: ((i, K_ij), ...) nonzero only
+            tuple(tuple((i, row[j]) for i, row in enumerate(k) if row[j]) for j in range(len(k)))
+            for k, _ in self.matrices
+        ]
         self._cell_of = {}  # tuple of "above" flags -> cell index
         self._taus = {}  # block of cell indices -> tau
 
-    def cell_of(self, above):
-        """First cell whose pattern matches the strict sign flags."""
+    def locate(self, d, q):
+        """Index of the first cell whose pattern matches the state q / d,
+        or ON_DISCONTINUITY when the state lies on a hyperplane."""
+        above = []
+        for coeffs, c in self.planes:
+            v = sum([q[i] * a for i, a in coeffs])
+            w = c * d
+            if v == w:
+                return ON_DISCONTINUITY
+            above.append(v > w)
+        above = tuple(above)
         idx = self._cell_of.get(above)
         if idx is None:
             for idx, pattern in enumerate(self.patterns):
@@ -272,26 +272,24 @@ class _IntCells:
             self._cell_of[above] = idx
         return idx
 
+    def product(self, cells):
+        """(K, E) of the matrix product along a run of cell indices, in
+        step order: the integer product K over the product E of the
+        scales."""
+        rows, scale = self.matrices[cells[0]]
+        for c in cells[1:]:
+            cols = self.columns[c]
+            rows = tuple(tuple(sum([r[i] * k for i, k in col]) for col in cols) for r in rows)
+            scale *= self.matrices[c][1]
+        return rows, scale
+
     def tau(self, cells):
         """Coefficient of ergodicity of the matrix product along a run of
-        cell indices (in step order), from the integer product K over
-        the product E of the scales: max_(i<j) sum |K_i - K_j| / (2 E).
-        Memoised per run."""
+        cell indices; memoised per run."""
         cells = tuple(cells)
         tau = self._taus.get(cells)
         if tau is None:
-            rows, scale = self.matrices[cells[0]]
-            for c in cells[1:]:
-                cols = self.columns[c]
-                rows = tuple(tuple(sum([r[i] * k for i, k in col]) for col in cols) for r in rows)
-                scale *= self.matrices[c][1]
-            best = 0
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    d = sum([abs(a - b) for a, b in zip(rows[i], rows[j])])
-                    if d > best:
-                        best = d
-            tau = self._taus[cells] = Fraction(best, 2 * scale)
+            tau = self._taus[cells] = _int_tau(*self.product(cells))
         return tau
 
 
@@ -338,27 +336,18 @@ class _Orbit:
         the index applied at step t (ON_DISCONTINUITY on a hyperplane,
         where the state stays put) and state = (D, p) is the state after
         the step."""
-        planes = self.cells.planes
-        cell_of = self.cells.cell_of
+        locate = self.cells.locate
         matrices, columns = self.cells.matrices, self.cells.columns
         bit_cap, dyadic_bits = self.bit_cap, self.dyadic_bits
         state = self.start_state
         for t in range(horizon):
             d, q = state
-            above = []
-            for coeffs, c in planes:
-                v = sum([q[i] * a for i, a in coeffs])
-                w = c * d
-                if v == w:
-                    cell = ON_DISCONTINUITY
-                    break
-                above.append(v > w)
-            else:
-                try:
-                    cell = cell_of(tuple(above))
-                except NoCellMatch as exc:
-                    exc.step = t
-                    raise
+            try:
+                cell = locate(d, q)
+            except NoCellMatch as exc:
+                exc.step = t
+                raise
+            if cell is not ON_DISCONTINUITY:
                 q = [sum([q[i] * k for i, k in col]) for col in columns[cell]]
                 d *= matrices[cell][1]
                 g = math.gcd(d, *q)
@@ -453,11 +442,12 @@ class PeriodVerdict:
     or detect_period.
 
     For an exact verdict the state at transient + period equals the
-    state at transient. For an asymptotic verdict the itinerary repeats
-    a period-long cell block (sustained for the configured number of
-    repetitions) and tau_block, the coefficient of ergodicity of the
-    block's matrix product, is below one, so the orbit contracts onto
-    the periodic orbit of that product at a geometric rate.
+    state at transient. An asymptotic verdict is a heuristic: the
+    itinerary ended in a period-long cell block repeated the configured
+    number of times, and tau_block, the coefficient of ergodicity of the
+    block's matrix product, is below one. Were the block to repeat
+    forever, the orbit would contract onto a periodic orbit at a
+    geometric rate; that the itinerary keeps repeating is not checked.
     """
 
     status: str
@@ -528,33 +518,13 @@ def _rows_of(m):
 def coefficient_of_ergodicity(m):
     """Half the maximum l1 distance between two rows; submultiplicative
     contraction coefficient for stochastic matrices."""
-    rows = _rows_of(m)
-    best = Fraction(0)
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            d = sum((abs(a - b) for a, b in zip(rows[i], rows[j])), Fraction(0))
-            if d > best:
-                best = d
-    return best / 2
+    return _int_tau(*_int_matrix(_rows_of(m)))
 
 
 def support_masks(rows):
     """Raw boolean support of a nonnegative matrix, one bitmask per row
     (no self-loops are added)."""
     return [sum(1 << j for j, v in enumerate(row) if v > 0) for row in rows]
-
-
-def _bool_mul(a, b, n):
-    out = []
-    for i in range(n):
-        r = a[i]
-        m = 0
-        while r:
-            z = (r & -r).bit_length() - 1
-            r &= r - 1
-            m |= b[z]
-        out.append(m)
-    return out
 
 
 def is_primitive(m):
@@ -565,22 +535,26 @@ def is_primitive(m):
     support is checked for full positivity (self-loops are not assumed,
     since adding them could turn an imprimitive support primitive).
     """
-    rows = _rows_of(m)
-    n = len(rows)
-    masks = support_masks(rows)
+    return _support_is_primitive(support_masks(_rows_of(m)))
+
+
+def _support_is_primitive(masks):
+    """is_primitive on raw support rows; the power is taken by repeated
+    squaring on the flat n*n-bit layout of the digraph kernel."""
+    n = len(masks)
     if all(masks[i] >> i & 1 for i in range(n)):
         return dg.is_strongly_connected(dg.Digraph(n, masks))
-    exponent = (n - 1) * (n - 1) + 1
-    acc = None
-    base = masks
-    e = exponent
-    while e:
-        if e & 1:
-            acc = base if acc is None else _bool_mul(acc, base, n)
-        base = _bool_mul(base, base, n)
-        e >>= 1
     full = (1 << n) - 1
-    return all(r == full for r in acc)
+    acc, base = None, sum(r << (i * n) for i, r in enumerate(masks))
+    e = (n - 1) * (n - 1) + 1
+    while e:
+        rows = [base >> s & full for s in range(0, n * n, n)]
+        if e & 1:
+            acc = base if acc is None else dg._compose(n, acc, rows)
+        e >>= 1
+        if e:
+            base = dg._compose(n, base, rows)
+    return acc == (1 << n * n) - 1
 
 
 def stationary_distribution(p):
@@ -707,6 +681,14 @@ def _read_config(text, read_line):
         raise ConfigFormatError("matrix entries missing", matrix[2])
 
 
+def _read_n(line):
+    """State count of an `n=` line, which must be at least one."""
+    n = int(line[2:])
+    if n < 1:
+        raise ValueError(f"state count {n} must be at least 1")
+    return n
+
+
 def read_mis_config(text):
     """Parse the system config format.
 
@@ -726,7 +708,7 @@ def read_mis_config(text):
     def read_line(line, _lineno):
         nonlocal n, omega, delta, unchecked
         if line.startswith("n="):
-            n = int(line[2:])
+            n = _read_n(line)
         elif line.startswith("omega="):
             omega = parse_rational(line[6:])
         elif line.startswith("delta="):
@@ -789,7 +771,7 @@ def read_lift_config(text):
     def read_line(line, lineno):
         nonlocal n, xi, threshold, xi_line
         if line.startswith("n="):
-            n = int(line[2:])
+            n = _read_n(line)
         elif line.startswith("xi:"):
             xi = [parse_rational(tok) for tok in line[3:].split()]
             xi_line = lineno

@@ -277,13 +277,82 @@ def reference_orbit(system, x0, horizon, bit_cap=None, dyadic_bits=None):
     return states, itinerary, None, inexact
 
 
+def reference_block_product(system, cells):
+    """Fraction matrix product along a run of cell indices, in step
+    order, by triple loops."""
+    acc = system.cells[cells[0]].matrix.rows
+    for c in cells[1:]:
+        rows = system.cells[c].matrix.rows
+        n = len(rows)
+        acc = tuple(
+            tuple(sum((r[k] * rows[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+            for r in acc
+        )
+    return acc
+
+
+def reference_tau(rows):
+    """Coefficient of ergodicity from its definition: half the largest
+    l1 distance between two rows, in Fractions."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    return max(
+        (sum((abs(a - b) for a, b in zip(u, v)), Fraction(0)) / 2 for u in rows for v in rows),
+        default=Fraction(0),
+    )
+
+
+def reference_primitive(rows):
+    """True iff the (n-1)^2 + 1-th power of the raw boolean support,
+    taken by repeated triple-loop products, is entrywise positive."""
+    n = len(rows)
+    support = [[v > 0 for v in row] for row in rows]
+    power = support
+    for _ in range((n - 1) * (n - 1)):
+        power = [
+            [any(power[i][k] and support[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return all(all(row) for row in power)
+
+
+def reference_weak_partition(system):
+    """Weak irreducibility blocks by joining the per-cell strongly
+    connected components (oracle_scc) and then verifying both properties
+    on explicit edge sets: no cell has an edge between blocks, and every
+    cell's support restricted to a block is strongly connected. None when
+    the verification fails."""
+    n = system.n
+    block_of = list(range(n))
+    for cell in system.cells:
+        for block in oracle_scc(cell.matrix.support()):
+            target = min(block_of[v] for v in block)
+            merged = {block_of[v] for v in block}
+            block_of = [target if b in merged else b for b in block_of]
+    grouped = {}
+    for v in range(n):
+        grouped.setdefault(block_of[v], set()).add(v)
+    partition = sorted((frozenset(b) for b in grouped.values()), key=min)
+    for cell in system.cells:
+        edges = edge_set(cell.matrix.support())
+        if any(block_of[u] != block_of[v] for u, v in edges):
+            return None
+        for block in partition:
+            members = sorted(block)
+            index = {v: k for k, v in enumerate(members)}
+            induced = graph_from_edge_set(
+                len(members),
+                {(index[u], index[v]) for u, v in edges if u in block and v in block},
+            )
+            if len(oracle_scc(induced)) != 1:
+                return None
+    return partition
+
+
 def reference_detect_period(system, x0, horizon, sustained=3, scan_interval=16, sigma_cap=64):
     """(status, transient, period, tau_block, states) by the plain
     algorithm: exact recurrence first; every scan_interval steps and at
     the horizon, the smallest block repeated `sustained` times at the end
     of the itinerary whose Fraction block product has tau < 1."""
-    from misdyn.analysis import block_product
-    from misdyn.system import coefficient_of_ergodicity
 
     def scan(itinerary):
         t = len(itinerary)
@@ -295,7 +364,7 @@ def reference_detect_period(system, x0, horizon, sustained=3, scan_interval=16, 
                 itinerary[t - r * sigma : t - (r - 1) * sigma] == block
                 for r in range(2, sustained + 1)
             ):
-                tau = coefficient_of_ergodicity(block_product(system, block))
+                tau = reference_tau(reference_block_product(system, block))
                 if tau < 1:
                     return "asymptotically-periodic", t - sustained * sigma, sigma, tau
         return None
@@ -311,7 +380,7 @@ def reference_detect_period(system, x0, horizon, sustained=3, scan_interval=16, 
             block = itinerary[t0:]
             tau = None
             if None not in block:
-                tau = coefficient_of_ergodicity(block_product(system, block))
+                tau = reference_tau(reference_block_product(system, block))
             return ("exact-periodic", t0, t + 1 - t0, tau), states
         states.append(nxt)
         x = nxt

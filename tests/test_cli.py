@@ -260,6 +260,8 @@ def _one_error_line(capsys):
         (["lift", "{lift_xi_before_n}", "--out", "{out}"], "line 1: xi has 3 entries for n=2"),
         (["parse", "{seq_n65}"], "line 1: vertex count 65 outside dense range 1..64"),
         (["parse", "{seq_n0}"], "line 1: vertex count 0 outside dense range 1..64"),
+        (["lift", "{lift_n0}", "--out", "{out}"], "line 1: state count 0 must be at least 1"),
+        (["simulate", "{cfg_n0}", "--x0", "1"], "line 2: state count 0 must be at least 1"),
     ],
     ids=[
         "simulate-horizon-0",
@@ -277,6 +279,8 @@ def _one_error_line(capsys):
         "lift-xi-before-n",
         "parse-n-65",
         "parse-n-0",
+        "lift-n-0",
+        "simulate-n-0",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
@@ -304,6 +308,10 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
     seq_n65.write_text("n=65\n1 2\n")
     seq_n0 = tmp_path / "seq-n0.txt"
     seq_n0.write_text("n=0\n")
+    lift_n0 = tmp_path / "lift-n0.txt"
+    lift_n0.write_text("n=0\nxi:\nthreshold: 1\nA:\nB:\n")
+    cfg_n0 = tmp_path / "sys-n0.txt"
+    cfg_n0.write_text("# no states\nn=0\ncell: . matrix:\n")
     paths = {
         "cfg": str(cfg),
         "lift_without_n": str(lift_without_n),
@@ -313,6 +321,8 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
         "lift_xi_before_n": str(lift_xi_before_n),
         "seq_n65": str(seq_n65),
         "seq_n0": str(seq_n0),
+        "lift_n0": str(lift_n0),
+        "cfg_n0": str(cfg_n0),
         "missing": str(tmp_path / "no-such-file.txt"),
         "out": str(tmp_path / "out.csv"),
     }

@@ -8,20 +8,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misdyn.analysis import _observed_itinerary, block_product, detect_period
+from misdyn.analysis import (
+    _all_windows_good,
+    _observed_itinerary,
+    block_product,
+    detect_period,
+    weak_irreducibility_partition,
+)
 from misdyn.system import (
     EXACT_PERIODIC,
     BitSizeExceeded,
     Cell,
     Hyperplane,
     MISystem,
+    NoCellMatch,
     StochasticMatrix,
     coefficient_of_ergodicity,
+    is_primitive,
+    locate_cell,
     orbit,
     step,
 )
 
-from helpers import reference_detect_period, reference_orbit, reference_step
+from helpers import (
+    reference_block_product,
+    reference_detect_period,
+    reference_orbit,
+    reference_primitive,
+    reference_step,
+    reference_tau,
+    reference_weak_partition,
+)
 
 F = Fraction
 
@@ -180,7 +197,70 @@ def test_detect_period_matches_reference(case, horizon, sustained, scan_interval
             block = trace.itinerary[verdict.transient :]
         else:
             block = trace.itinerary[-verdict.period :]
-        assert verdict.tau_block == coefficient_of_ergodicity(block_product(system, block))
+        assert verdict.tau_block == reference_tau(reference_block_product(system, block))
+
+
+@st.composite
+def blocked_systems(draw):
+    """Random 1-6 state system with 0-2 hyperplanes and 1-4 cells whose
+    patterns may hold '*' and need not cover every sign vector. Rows are
+    sparse and may have zero diagonals; half the time every cell keeps
+    its support inside the blocks of one random vertex partition, so
+    weak irreducibility partitions are common."""
+    n = draw(st.integers(1, 6))
+    label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    confined = draw(st.booleans())
+    planes = draw(st.integers(0, 2))
+    hyperplanes = [
+        Hyperplane(tuple(1 + F(draw(st.integers(-3, 3)), 8) for _ in range(n)))
+        for _ in range(planes)
+    ]
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        pattern = "".join(draw(st.sampled_from("+-*")) for _ in range(planes))
+        rows = []
+        for i in range(n):
+            allowed = [j for j in range(n) if not confined or label[j] == label[i]]
+            weights = [draw(st.integers(0, 3)) if j in allowed else 0 for j in range(n)]
+            if not any(weights):
+                weights[draw(st.sampled_from(allowed))] = 1
+            rows.append([F(w, sum(weights)) for w in weights])
+        cells.append(Cell(pattern, StochasticMatrix(rows, allow_zero_diagonal=True)))
+    delta = F(draw(st.integers(-3, 3)), 32)
+    return MISystem(n, hyperplanes, cells, delta=delta, omega=F(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_systems(), st.data())
+def test_shared_integer_paths_match_references(system, data):
+    """tau, block products, primitivity, cell lookup and the weak
+    irreducibility partition against plain-Fraction and edge-set
+    references."""
+    for cell in system.cells:
+        rows = cell.matrix.rows
+        assert coefficient_of_ergodicity(cell.matrix) == reference_tau(rows)
+        assert is_primitive(cell.matrix) == reference_primitive(rows)
+    indices = st.integers(0, len(system.cells) - 1)
+    block = data.draw(st.lists(indices, min_size=1, max_size=4))
+    expected = reference_block_product(system, block)
+    prod = block_product(system, block)
+    assert prod == expected
+    tau = reference_tau(expected)
+    assert coefficient_of_ergodicity(prod) == tau
+    assert is_primitive(prod) == reference_primitive(expected)
+    assert _all_windows_good(system, [tuple(block)]) == (
+        reference_primitive(expected) and tau < F(1, 2)
+    )
+    x = data.draw(simplex_points(system.n))
+    try:
+        cell, _ = reference_step(system, x)
+    except NoCellMatch as exc:
+        with pytest.raises(NoCellMatch) as err:
+            locate_cell(system, x)
+        assert err.value.signs == exc.signs
+    else:
+        assert locate_cell(system, x) == cell
+    assert weak_irreducibility_partition(system) == reference_weak_partition(system)
 
 
 def three_state_system():

@@ -12,7 +12,6 @@ from misdyn.parsing import (
     decorate_topological,
     depth_bound,
     parse,
-    parser_append,
     temporal_decompose,
 )
 
@@ -145,7 +144,7 @@ def test_online_equals_batch_with_snapshots():
         online = ParseTree()
         snapshots = []
         for g in seq:
-            parser_append(online, g)
+            online.append(g)
             snapshots.append(online.copy())
         for k, snap in enumerate(snapshots, start=1):
             assert snap == parse(seq[:k])

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misdyn import digraph as dg
 from misdyn.rational import format_rational, kron, mat_inf_norm, mat_mul, parse_rational, vec_mat
@@ -428,6 +430,39 @@ def test_config_roundtrip_no_hyperplanes():
     rng = random.Random(51)
     sys_ = constant_system(random_stochastic(rng, 2))
     assert read_mis_config(write_mis_config(sys_)) == sys_
+
+
+@st.composite
+def config_systems(draw):
+    """Random 1-5 state system with 0-2 hyperplanes of arbitrary nonzero
+    rational normals, 1-3 cells with '*'-holding patterns and possibly
+    zero diagonals, and a drawn omega and delta."""
+    n = draw(st.integers(1, 5))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    hyperplanes = [
+        Hyperplane(tuple(draw(st.lists(coeffs, min_size=n, max_size=n).filter(any))))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        pattern = "".join(draw(st.sampled_from("+-*")) for _ in hyperplanes)
+        rows = []
+        for _ in range(n):
+            weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+            rows.append([F(w, sum(weights)) for w in weights])
+        cells.append(Cell(pattern, StochasticMatrix(rows, allow_zero_diagonal=True)))
+    omega = draw(st.fractions(min_value=F(1, 64), max_value=F(31, 64), max_denominator=64))
+    delta = draw(st.fractions(min_value=-omega, max_value=omega, max_denominator=64))
+    return MISystem(n, hyperplanes, cells, delta=delta, omega=omega)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_systems())
+def test_config_roundtrip_random(system):
+    text = write_mis_config(system)
+    zero_diagonal = not all(c.matrix.has_positive_diagonal() for c in system.cells)
+    assert ("unchecked=1" in text.splitlines()) == zero_diagonal
+    assert read_mis_config(text) == system
 
 
 def test_config_errors_carry_line_numbers():
