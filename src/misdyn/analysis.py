@@ -33,7 +33,6 @@ from .system import (
     _support_is_primitive,
     perron_decomposition,
     sample_simplex,
-    support_masks,
 )
 
 
@@ -160,7 +159,7 @@ def _all_windows_good(system, windows):
     cells = _IntCells(system)
     for window in windows:
         k, e = cells.product(window)
-        if not _support_is_primitive(support_masks(k)) or _int_tau(k, e) >= Fraction(1, 2):
+        if not _support_is_primitive(k) or _int_tau(k, e) >= Fraction(1, 2):
             return False
     return True
 
@@ -230,12 +229,18 @@ def property_u_certificate(matrices, theta, a):
     matrices = list(matrices)
     t_len = len(matrices)
     theta = list(theta)
+    if not theta:
+        raise ValueError("theta must not be empty")
     if any(k < 1 or k > t_len for k in theta):
         raise ValueError("theta indices must lie in 1..len(matrices)")
     if sorted(theta) != theta or len(set(theta)) != len(theta):
         raise ValueError("theta must be strictly increasing")
     n = matrices[0].n
+    if any(m.n != n for m in matrices):
+        raise ValueError("matrices differ in size")
     a = tuple(Fraction(v) for v in a)
+    if len(a) != n:
+        raise ValueError(f"a has {len(a)} entries for {n}-state matrices")
     prefix_products = {}
     acc = None
     for k, m in enumerate(matrices, start=1):
@@ -340,8 +345,9 @@ def interior_grid(omega, count):
 def delta_sweep(system, grid, x0_samples, horizon, **detect_kwargs):
     """Run period detection over a delta grid times a set of starts.
 
-    Cells are independent; per-cell failures are recorded and the sweep
-    continues. Entries come in (grid index, start index) order.
+    A run that meets no cell or outgrows the bit cap becomes an error
+    entry and the sweep goes on; any other error (a bad start, horizon
+    or mode) is raised. Entries come in (grid index, start index) order.
     """
     grid = [Fraction(d) for d in grid]
     x0_samples = list(x0_samples)
@@ -357,6 +363,6 @@ def delta_sweep(system, grid, x0_samples, horizon, **detect_kwargs):
             try:
                 verdict = detect_period(shifted, x0, horizon, **detect_kwargs)
                 entries.append(SweepEntry(delta, xi, verdict=verdict))
-            except (NoCellMatch, BitSizeExceeded, ValueError) as exc:
+            except (NoCellMatch, BitSizeExceeded) as exc:
                 entries.append(SweepEntry(delta, xi, error=type(exc).__name__))
     return SweepReport(grid, entries)

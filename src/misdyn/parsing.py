@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .digraph import (
     Digraph,
+    cumulant,
     edge_label,
     is_transitive,
     ordering_leq,
@@ -87,14 +88,6 @@ class ParseNode:
         if len(self.children) != len(other.children):
             return False
         return all(a.structurally_equal(b) for a, b in zip(self.children, other.children))
-
-    def __eq__(self, other):
-        if not isinstance(other, ParseNode):
-            return NotImplemented
-        return self.structurally_equal(other)
-
-    def __hash__(self):
-        return hash((self.kind, self.graph_index, self.annotation, len(self.children)))
 
     def clone(self):
         node = ParseNode(
@@ -318,9 +311,7 @@ def temporal_decompose(seq):
     seq = list(seq)
     if not seq:
         raise ValueError("cannot decompose an empty sequence")
-    total = seq[0]
-    for g in seq[1:]:
-        total = product(total, g)
+    total = cumulant(seq)
     segments = []
     terminators = []
     start = 0

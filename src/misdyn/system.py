@@ -103,14 +103,16 @@ class StochasticMatrix:
         self.rows = rows
 
     def support(self):
-        """Digraph view of the positive entries.
+        """Digraph view of the positive entries, at any n: it is built
+        like a kernel result, without the public constructors' 64-vertex cap.
 
         Self-loops are forced into the view (the digraph type requires
         them); that never changes reachability or strong connectivity.
         Primitivity checks go through is_primitive, which inspects the
         raw support instead.
         """
-        return dg.Digraph.from_rows(self.n, support_masks(self.rows))
+        n = self.n
+        return dg._digraph(n, _support(self.rows) | sum(1 << i * (n + 1) for i in range(n)))
 
     def has_positive_diagonal(self):
         return all(self.rows[i][i] > 0 for i in range(self.n))
@@ -521,31 +523,29 @@ def coefficient_of_ergodicity(m):
     return _int_tau(*_int_matrix(_rows_of(m)))
 
 
-def support_masks(rows):
-    """Raw boolean support of a nonnegative matrix, one bitmask per row
-    (no self-loops are added)."""
-    return [sum(1 << j for j, v in enumerate(row) if v > 0) for row in rows]
+def _support(rows):
+    """Raw support of a nonnegative matrix as one n*n-bit integer in the
+    digraph kernel's flat layout: bit i*n + j is set iff entry (i, j) is
+    positive (no self-loops are added)."""
+    bits = "".join("1" if v > 0 else "0" for row in reversed(rows) for v in reversed(row))
+    return int(bits, 2)
 
 
 def is_primitive(m):
-    """True iff some power of the support is entrywise positive.
-
-    With a positive diagonal this reduces to strong connectivity of the
-    support. Otherwise the Wielandt power (n-1)^2 + 1 of the raw boolean
-    support is checked for full positivity (self-loops are not assumed,
-    since adding them could turn an imprimitive support primitive).
-    """
-    return _support_is_primitive(support_masks(_rows_of(m)))
+    """True iff some power of the support is entrywise positive, which by
+    Wielandt's bound is checked on the power (n-1)^2 + 1 of the raw boolean
+    support at any size and diagonal (self-loops are not assumed, since
+    adding them could turn an imprimitive support primitive)."""
+    return _support_is_primitive(_rows_of(m))
 
 
-def _support_is_primitive(masks):
-    """is_primitive on raw support rows; the power is taken by repeated
-    squaring on the flat n*n-bit layout of the digraph kernel."""
-    n = len(masks)
-    if all(masks[i] >> i & 1 for i in range(n)):
-        return dg.is_strongly_connected(dg.Digraph(n, masks))
+def _support_is_primitive(matrix):
+    """is_primitive on matrix rows (Fractions or integers): the Wielandt
+    power of the flat support (see _support) is taken by repeated
+    squaring with the digraph kernel's product."""
+    n = len(matrix)
     full = (1 << n) - 1
-    acc, base = None, sum(r << (i * n) for i, r in enumerate(masks))
+    acc, base = None, _support(matrix)
     e = (n - 1) * (n - 1) + 1
     while e:
         rows = [base >> s & full for s in range(0, n * n, n)]
@@ -839,6 +839,8 @@ def write_trace_csv(trace, out, exact=True):
 
 def sample_simplex(rng, n, denominator=1024):
     """Uniform-ish exact rational simplex point with a fixed denominator."""
+    if denominator < 1:
+        raise ValueError(f"denominator {denominator} must be at least 1")
     cuts = sorted(rng.randint(0, denominator) for _ in range(n - 1))
     parts = []
     prev = 0

@@ -29,6 +29,8 @@ from misdyn.system import (
     SimplexVector,
     StochasticMatrix,
     coefficient_of_ergodicity,
+    is_primitive,
+    kronecker_variance_lift,
     orbit,
     perron_decomposition,
 )
@@ -322,6 +324,53 @@ def test_weak_irreducibility_rejects_cross_edges():
     assert weak_irreducibility_partition(sys_) is None
 
 
+def cycle_matrix(n, blocks=None, loop=F(1, 2)):
+    """Each vertex keeps `loop` and passes the rest to its successor on a
+    cycle through its block (one block of all n vertices by default)."""
+    blocks = blocks or [range(n)]
+    rows = [[F(0)] * n for _ in range(n)]
+    for block in blocks:
+        block = list(block)
+        for k, i in enumerate(block):
+            rows[i][i] += loop
+            rows[i][block[(k + 1) % len(block)]] += 1 - loop
+    return StochasticMatrix(rows, allow_zero_diagonal=True)
+
+
+def test_support_checks_have_no_state_limit():
+    # Past the 64-vertex cap of the public digraph constructors: a
+    # 65-state cycle, and 81-state Kronecker lifts of 9-state pairs.
+    m = cycle_matrix(65)
+    assert is_primitive(m)
+    pi, q = perron_decomposition(m)
+    assert tuple(pi) == (F(1, 65),) * 65
+    sys_ = constant_system(m)
+    assert is_irreducible(sys_)
+    assert weak_irreducibility_partition(sys_) == [frozenset(range(65))]
+    cycle = cycle_matrix(65, loop=0)
+    assert not is_primitive(cycle)
+    support = cycle.support()
+    assert all(support.has_edge(i, (i + 1) % 65) for i in range(65))
+    assert support.edge_count() == 65 and support.edge_count(include_loops=True) == 130
+
+    xi = range(9)
+    lifted = kronecker_variance_lift(cycle_matrix(9), cycle_matrix(9, loop=F(1, 3)), xi, 1)
+    assert lifted.n == 81 and len(lifted.cells) == 2
+    assert all(is_primitive(cell.matrix) for cell in lifted.cells)
+    assert weak_irreducibility_partition(lifted) == [frozenset(range(81))]
+
+    # Two closed classes {0..3} and {4..8} lift to the four products of
+    # classes, as lifted states (i, j) sit at index 9 * i + j.
+    halves = [range(4), range(4, 9)]
+    a, b = cycle_matrix(9, halves), cycle_matrix(9, halves, loop=F(1, 3))
+    lifted = kronecker_variance_lift(a, b, xi, 1)
+    assert not any(is_primitive(cell.matrix) for cell in lifted.cells)
+    assert not is_irreducible(lifted)
+    assert weak_irreducibility_partition(lifted) == [
+        frozenset(9 * i + j for i in p for j in q) for p in halves for q in halves
+    ]
+
+
 def test_invariant_sums_detect_broken_block():
     leaky = StochasticMatrix(
         [
@@ -394,6 +443,23 @@ def test_certificate_random_families_verified_constant():
             assert val == first
 
 
+@pytest.mark.parametrize(
+    "sizes, theta, a, message",
+    [
+        ((3, 3, 3, 3), [1, 2, 3, 4], (1, 2), "a has 2 entries for 3-state matrices"),
+        ((3, 3, 3, 3), [1, 2, 3, 4], (1, 2, 3, 4, 5), "a has 5 entries"),
+        ((3, 2, 3, 2), [1, 2, 3, 4], (1, 2, 3), "matrices differ in size"),
+        ((3, 3, 3, 3), [], (1, 2, 3), "theta must not be empty"),
+    ],
+    ids=["a-short", "a-long", "mixed-sizes", "theta-empty"],
+)
+def test_certificate_rejects_mismatched_input(sizes, theta, a, message):
+    rng = random.Random(70)
+    mats = [random_stochastic(rng, n) for n in sizes]
+    with pytest.raises(ValueError, match=message):
+        property_u_certificate(mats, theta, a)
+
+
 def test_certificate_rejects_bad_theta():
     rng = random.Random(68)
     mats = [random_stochastic(rng, 3) for _ in range(4)]
@@ -439,6 +505,35 @@ def test_sweep_rejects_grid_outside_omega():
     sys_ = constant_system(s)
     with pytest.raises(ValueError):
         delta_sweep(sys_, [F(1, 2)], [SimplexVector((1, 0))], 10)
+
+
+def test_sweep_raises_the_callers_errors():
+    sys_ = constant_system(StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]]))
+    with pytest.raises(ValueError, match="start vector has 3 coordinates"):
+        delta_sweep(sys_, [0], [SimplexVector((1, 0, 0))], 10)
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        delta_sweep(sys_, [0], [SimplexVector((1, 0))], 0)
+
+
+def test_sweep_records_a_run_without_a_cell_and_goes_on():
+    import io
+
+    # Only the side 2 x_1 < 1 + delta has a cell: the start (1, 0) meets
+    # none, while (0, 1) sits still under the identity.
+    sys_ = MISystem(
+        2, (Hyperplane((2, 0)),), (Cell("-", StochasticMatrix([[1, 0], [0, 1]])),)
+    )
+    report = delta_sweep(sys_, [F(-1, 8), F(1, 8)], [(1, 0), (0, 1)], 10)
+    assert [e.error for e in report.entries] == ["NoCellMatch", None] * 2
+    buf = io.StringIO()
+    report.write_csv(buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "-1/8,0,error(NoCellMatch),,,",
+        "-1/8,1,exact-periodic,0,1,1",
+        "1/8,0,error(NoCellMatch),,,",
+        "1/8,1,exact-periodic,0,1,1",
+    ]
+    assert report.resolved_fraction() == 0.5
 
 
 def test_interior_grid_excludes_endpoints():

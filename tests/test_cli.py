@@ -108,6 +108,34 @@ def test_clock_command(capsys):
     assert "period=28" in capsys.readouterr().out
 
 
+def test_clock_command_writes_a_trace(tmp_path, capsys):
+    trace = tmp_path / "clock.csv"
+    args = ["clock", "--levels", "1", "--horizon", "2000", "--trace", str(trace)]
+    assert main(args + ["--trace-steps", "6"]) == 0
+    assert "period=28" in capsys.readouterr().out
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "step,cell,x_1,x_2,x_3,x_4,x_5"
+    assert lines[1] == "0,0,1/4,1/4,1/2,0,0"
+    assert len(lines) == 1 + 7 and lines[-1].startswith("6,,")
+
+
+def test_simulate_delta_overrides_the_config(tmp_path, capsys):
+    # The start (1/2, 1/2) sits on the plane 2 x_1 = 1 + delta at delta 0;
+    # below it, for delta = 1/8, the rank-one cell moves it once.
+    cfg = tmp_path / "sys.txt"
+    cfg.write_text(
+        "n=2\nomega=1/4\ndelta=0\nhyperplane: 2 0\n"
+        "cell: + matrix: 1 0 0 1\ncell: - matrix: 1/3 2/3 1/3 2/3\n"
+    )
+    args = ["simulate", str(cfg), "--x0", "1/2,1/2", "--horizon", "20"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "verdict=exact-periodic transient=0 period=1\n"
+    assert main(args + ["--delta", "1/8"]) == 0
+    assert capsys.readouterr().out == "verdict=exact-periodic transient=1 period=1 tau=0\n"
+    assert main(args + ["--delta=-1/8"]) == 0
+    assert capsys.readouterr().out == "verdict=exact-periodic transient=0 period=1 tau=1\n"
+
+
 def test_simulate_baker_config_unresolved(tmp_path, capsys):
     from misdyn.constructions import build_baker
 
@@ -166,6 +194,17 @@ def test_sweep_deterministic_and_csv(tmp_path, capsys):
     lines = out1.read_text().splitlines()
     assert lines[0] == "delta,x0_index,status,transient,period,tau_block"
     assert len(lines) == 17
+
+
+def test_sweep_include_endpoints(tmp_path, capsys):
+    cfg = tmp_path / "sys.txt"
+    cfg.write_text(CONSTANT_CONFIG)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", str(cfg), "--out", str(out), "--grid-points", "3", "--samples", "1"]
+    assert main(args + ["--horizon", "100", "--include-endpoints"]) == 0
+    assert "cells=3" in capsys.readouterr().out
+    deltas = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert deltas == ["-1/4", "0", "1/4"]
 
 
 def test_lift_roundtrip_through_simulate(tmp_path, capsys):
@@ -242,6 +281,35 @@ def _one_error_line(capsys):
     return lines[0]
 
 
+# Inputs of test_bad_input_is_one_error_line, each written to <name>.txt.
+INPUT_FILES = {
+    "cfg": CONSTANT_CONFIG,
+    "lift_without_n": "xi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\n",
+    "lift_extra_entries": (
+        "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4 9 9\nB: 3/4 1/4 1/2 1/2\n"
+    ),
+    "lift_not_stochastic": (
+        "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2\n  1/4 1/4\nB: 3/4 1/4 1/2 1/2\n"
+    ),
+    "lift_xi_long": "n=2\nxi: 0 1 2\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n",
+    "lift_xi_before_n": (
+        "xi: 0 1 2\nn=2\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n"
+    ),
+    "lift_unrecognized": "n=2\nxi: 0 1\nC: 1 0 0 1\n",
+    "lift_incomplete": "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\n",
+    "seq_n65": "n=65\n1 2\n",
+    "seq_n0": "n=0\n",
+    "lift_n0": "n=0\nxi:\nthreshold: 1\nA:\nB:\n",
+    "cfg_n0": "# no states\nn=0\ncell: . matrix:\n",
+    "cfg_hyperplane_before_n": "hyperplane: 1 1\nn=2\n",
+    "cfg_cell_before_n": "# header\ncell: . matrix: 1\nn=1\n",
+    "cfg_cell_without_pattern": "n=1\ncell:\n",
+    "cfg_cell_without_matrix": "n=1\ncell: . 1\n",
+    "cfg_matrix_short": "n=2\ncell: . matrix:\n  1/2 1/2\n",
+    "cfg_without_n": "omega=1/4\ndelta=0\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -262,6 +330,27 @@ def _one_error_line(capsys):
         (["parse", "{seq_n0}"], "line 1: vertex count 0 outside dense range 1..64"),
         (["lift", "{lift_n0}", "--out", "{out}"], "line 1: state count 0 must be at least 1"),
         (["simulate", "{cfg_n0}", "--x0", "1"], "line 2: state count 0 must be at least 1"),
+        (
+            ["sweep", "{cfg}", "--out", "{out}", "--horizon", "0", "--grid-points", "2",
+             "--samples", "1"],
+            "horizon must be at least 1",
+        ),
+        (["sweep", "{cfg}", "--out", "{out}", "--denominator", "0"],
+         "denominator 0 must be at least 1"),
+        (["sweep", "{cfg}", "--out", "{out}", "--denominator", "-3"],
+         "denominator -3 must be at least 1"),
+        (["simulate", "{cfg_hyperplane_before_n}", "--x0", "1,0"],
+         "line 1: hyperplane before n="),
+        (["simulate", "{cfg_cell_before_n}", "--x0", "1"], "line 2: cell before n="),
+        (["simulate", "{cfg_cell_without_pattern}", "--x0", "1"],
+         "line 2: cell line needs a sign pattern"),
+        (["simulate", "{cfg_cell_without_matrix}", "--x0", "1"],
+         "line 2: expected 'matrix:' after the pattern"),
+        (["simulate", "{cfg_matrix_short}", "--x0", "1,0"], "line 2: matrix entries missing"),
+        (["simulate", "{cfg_without_n}", "--x0", "1"], "line 1: missing n="),
+        (["lift", "{lift_unrecognized}", "--out", "{out}"], "line 3: unrecognized line 'C: 1 0 0 1'"),
+        (["lift", "{lift_incomplete}", "--out", "{out}"],
+         "lift input needs n=, xi:, threshold:, A: and B:"),
     ],
     ids=[
         "simulate-horizon-0",
@@ -281,51 +370,28 @@ def _one_error_line(capsys):
         "parse-n-0",
         "lift-n-0",
         "simulate-n-0",
+        "sweep-horizon-0",
+        "sweep-denominator-0",
+        "sweep-denominator-negative",
+        "config-hyperplane-before-n",
+        "config-cell-before-n",
+        "config-cell-without-pattern",
+        "config-cell-without-matrix",
+        "config-matrix-entries-missing",
+        "config-without-n",
+        "lift-unrecognized-line",
+        "lift-missing-keys",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):
-    cfg = tmp_path / "sys.txt"
-    cfg.write_text(CONSTANT_CONFIG)
-    lift_without_n = tmp_path / "lift.txt"
-    lift_without_n.write_text("xi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\n")
-    lift_extra_entries = tmp_path / "lift-extra.txt"
-    lift_extra_entries.write_text(
-        "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4 9 9\nB: 3/4 1/4 1/2 1/2\n"
-    )
-    lift_not_stochastic = tmp_path / "lift-not-stochastic.txt"
-    lift_not_stochastic.write_text(
-        "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2\n  1/4 1/4\nB: 3/4 1/4 1/2 1/2\n"
-    )
-    lift_xi_long = tmp_path / "lift-xi-long.txt"
-    lift_xi_long.write_text(
-        "n=2\nxi: 0 1 2\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n"
-    )
-    lift_xi_before_n = tmp_path / "lift-xi-before-n.txt"
-    lift_xi_before_n.write_text(
-        "xi: 0 1 2\nn=2\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n"
-    )
-    seq_n65 = tmp_path / "seq-n65.txt"
-    seq_n65.write_text("n=65\n1 2\n")
-    seq_n0 = tmp_path / "seq-n0.txt"
-    seq_n0.write_text("n=0\n")
-    lift_n0 = tmp_path / "lift-n0.txt"
-    lift_n0.write_text("n=0\nxi:\nthreshold: 1\nA:\nB:\n")
-    cfg_n0 = tmp_path / "sys-n0.txt"
-    cfg_n0.write_text("# no states\nn=0\ncell: . matrix:\n")
     paths = {
-        "cfg": str(cfg),
-        "lift_without_n": str(lift_without_n),
-        "lift_extra_entries": str(lift_extra_entries),
-        "lift_not_stochastic": str(lift_not_stochastic),
-        "lift_xi_long": str(lift_xi_long),
-        "lift_xi_before_n": str(lift_xi_before_n),
-        "seq_n65": str(seq_n65),
-        "seq_n0": str(seq_n0),
-        "lift_n0": str(lift_n0),
-        "cfg_n0": str(cfg_n0),
         "missing": str(tmp_path / "no-such-file.txt"),
         "out": str(tmp_path / "out.csv"),
     }
+    for name, text in INPUT_FILES.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
     code = main([arg.format(**paths) for arg in argv])
     assert code == 2
     assert message in _one_error_line(capsys)

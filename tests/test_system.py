@@ -344,6 +344,14 @@ def test_stationary_distribution_direct():
     assert tuple(stationary_distribution(p)) == (F(1, 3), F(2, 3))
 
 
+def test_stationary_distribution_needs_one_closed_class():
+    # {0, 1} and {2} are closed classes, so every mix of their
+    # stationary laws is stationary.
+    p = StochasticMatrix([[F(1, 2), F(1, 2), 0], [F(1, 4), F(3, 4), 0], [0, 0, 1]])
+    with pytest.raises(NotPrimitive, match="no unique stationary distribution"):
+        stationary_distribution(p)
+
+
 # ---------------------------------------------------------------------------
 # Kronecker lift
 
