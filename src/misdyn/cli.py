@@ -134,14 +134,13 @@ def cmd_baker(args):
     else:
         x0 = sampler(random.Random(args.seed))
     trace = system.orbit(sys_, x0, args.steps, mode="capped", bit_cap=args.bit_cap)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,cell,z\n")
-        for t, state in enumerate(trace.states[:-1]):
-            cell = trace.itinerary[t]
-            cell_txt = "D" if cell is system.ON_DISCONTINUITY else str(cell)
-            _, z = constructions.baker_coordinates(state)
-            z_txt = format_rational(z) if not args.decimal else repr(float(z))
-            fh.write(f"{t},{cell_txt},{z_txt}\n")
+    lines = ["step,cell,z\n"]
+    for t, (cell, state) in enumerate(zip(trace.itinerary, trace.states)):
+        cell_txt = "D" if cell is system.ON_DISCONTINUITY else str(cell)
+        _, z = constructions.baker_coordinates(state)
+        z_txt = format_rational(z) if not args.decimal else repr(float(z))
+        lines.append(f"{t},{cell_txt},{z_txt}\n")
+    _write(args.out, "".join(lines))
     print(f"steps={len(trace.itinerary)} out={args.out}")
     return 0
 
@@ -217,6 +216,10 @@ def main(argv=None):
     """Run one subcommand. Every failure it reports ends as one `error:`
     line on stderr and a nonzero exit code: 3 when no cell matches a
     state, 4 past the bit cap, 2 for bad input or an unreadable file."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    while "--delta" in argv[:-1]:  # argparse reads a value like -1/8 as an option
+        i = argv.index("--delta")
+        argv[i : i + 2] = [f"--delta={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -58,9 +58,6 @@ class ClockSpec:
     def z_index(self, k):
         return self.gadget_start(k) + 2
 
-    def x_index(self, k):
-        return self.gadget_start(k)
-
 
 def clock_spec(levels):
     if levels < 0:
@@ -136,7 +133,7 @@ def build_clock(levels, inner_horizon=4096):
             # value.
             p = inner_periods[k - 2]
             ring = _axis_hyperplane(
-                n, spec.x_index(k - 1), m * (1 - Fraction(1, 2 ** (p + 1)))
+                n, spec.gadget_start(k - 1), m * (1 - Fraction(1, 2 ** (p + 1)))
             )
         hyperplanes.append(ring)
         hyperplanes.append(_axis_hyperplane(n, spec.z_index(k), m / 2))
@@ -174,9 +171,9 @@ def build_clock(levels, inner_horizon=4096):
         coords[0] = m / 2
         coords[1] = m / 2
         for k in range(1, levels):
-            coords[spec.x_index(k)] = m / 2
-            coords[spec.x_index(k) + 1] = m / 2
-        coords[spec.x_index(levels)] = m
+            coords[spec.gadget_start(k)] = m / 2
+            coords[spec.gadget_start(k) + 1] = m / 2
+        coords[spec.gadget_start(levels)] = m
     return system, SimplexVector(coords)
 
 

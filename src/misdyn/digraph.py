@@ -79,11 +79,6 @@ class Digraph:
         return cls(n, rows)
 
     @classmethod
-    def from_rows(cls, n, rows):
-        """Build from bitmask rows, silently adding self-loops."""
-        return cls(n, tuple(r | (1 << i) for i, r in enumerate(rows)))
-
-    @classmethod
     def identity(cls, n):
         return cls(n, tuple(1 << i for i in range(n)))
 
@@ -284,44 +279,37 @@ def read_sequence_text(text):
     """
     graphs = []
     n = None
-    rows = None
-    in_graph = False
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    for lineno, line in lines:
         if not line:
-            if in_graph:
-                graphs.append(Digraph(n, rows))
-                in_graph = False
             continue
-        if not in_graph:
-            if not line.startswith("n="):
-                raise SequenceFormatError(f"expected 'n=<k>' header, got {line!r}", lineno)
-            try:
-                k = int(line[2:])
-            except ValueError:
-                raise SequenceFormatError(f"bad vertex count in {line!r}", lineno) from None
-            if n is not None and k != n:
-                raise SequenceFormatError(f"vertex count changed from {n} to {k}", lineno)
-            if not 1 <= k <= MAX_DENSE_N:
-                raise SequenceFormatError(
-                    f"vertex count {k} outside dense range 1..{MAX_DENSE_N}", lineno
-                )
-            n = k
-            rows = [1 << i for i in range(n)]
-            in_graph = True
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise SequenceFormatError(f"expected 'u v' edge, got {line!r}", lineno)
+        if not line.startswith("n="):
+            raise SequenceFormatError(f"expected 'n=<k>' header, got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            k = int(line[2:])
         except ValueError:
-            raise SequenceFormatError(f"non-integer edge {line!r}", lineno) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise SequenceFormatError(f"edge ({u}, {v}) outside 1..{n}", lineno)
-        rows[u - 1] |= 1 << (v - 1)
-    if in_graph:
+            raise SequenceFormatError(f"bad vertex count in {line!r}", lineno) from None
+        if n is not None and k != n:
+            raise SequenceFormatError(f"vertex count changed from {n} to {k}", lineno)
+        if not 1 <= k <= MAX_DENSE_N:
+            raise SequenceFormatError(
+                f"vertex count {k} outside dense range 1..{MAX_DENSE_N}", lineno
+            )
+        n = k
+        rows = [1 << i for i in range(n)]
+        for lineno, line in lines:  # the graph's edges, up to a blank line
+            if not line:
+                break
+            parts = line.split()
+            if len(parts) != 2:
+                raise SequenceFormatError(f"expected 'u v' edge, got {line!r}", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise SequenceFormatError(f"non-integer edge {line!r}", lineno) from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise SequenceFormatError(f"edge ({u}, {v}) outside 1..{n}", lineno)
+            rows[u - 1] |= 1 << (v - 1)
         graphs.append(Digraph(n, rows))
     return graphs
 

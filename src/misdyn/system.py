@@ -15,6 +15,7 @@ precision (the trace is then flagged inexact).
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import digraph as dg
 from .rational import (
@@ -384,12 +385,12 @@ class _Orbit:
         """
         states = [self.start_state]
         itinerary = []
-        seen = {hash(self.start_state): [0]}
+        first_seen = {self.start_state: 0}  # state -> index of its first visit
         for t, cell, state in self.steps(horizon):
             itinerary.append(cell)
             states.append(state)
-            t0 = _first_recurrence(seen, states)
-            if t0 is not None:
+            t0 = first_seen.setdefault(state, t + 1)
+            if t0 <= t:
                 block = itinerary[t0:]
                 tau = None if ON_DISCONTINUITY in block else self.cells.tau(block)
                 verdict = PeriodVerdict(EXACT_PERIODIC, t0, t + 1 - t0, tau, horizon)
@@ -408,19 +409,6 @@ class _Orbit:
         for i in range(1, len(states)):
             states[i] = _simplex(states[i])
         return OrbitTrace(states, itinerary, verdict, self.inexact)
-
-
-def _first_recurrence(seen, states):
-    """Index of an earlier entry of states equal to the last one, or None
-    after recording the last one. seen buckets indices by the hash of
-    the integer state; a hit is confirmed by exact equality."""
-    last = states[-1]
-    bucket = seen.setdefault(hash(last), [])
-    for s in bucket:
-        if states[s] == last:
-            return s
-    bucket.append(len(states) - 1)
-    return None
 
 
 def step(system, x, bit_cap=None):
@@ -492,6 +480,8 @@ def _mode_orbit(system, x0, horizon, mode, bit_cap, dyadic_bits=None):
     modes = ("exact", "capped") if dyadic_bits is None else ("exact", "capped", "dyadic")
     if mode not in modes:
         raise ValueError(f"unknown arithmetic mode {mode!r}")
+    if mode == "dyadic" and dyadic_bits < 1:
+        raise ValueError(f"dyadic precision {dyadic_bits} must be at least 1")
     return _Orbit(
         system,
         x0,
@@ -642,47 +632,39 @@ def kronecker_variance_lift(a, b, xi, threshold):
 # Config text format and trace output
 
 
-def _read_config(text, read_line):
-    """Line loop shared by the config formats.
-
-    Blank and '#' lines are skipped, and a ValueError raised on a line
-    is reported as a ConfigFormatError carrying its number.
-    read_line(line, lineno) reads one line; when the line opens an n x n
-    matrix it returns (n, the line's entries, done). The matrix may
-    continue over the following lines; once all n*n entries are in,
-    done(rows) receives them, and its errors carry the line the matrix
-    opened on.
-    """
-    matrix = None  # (n, entries, opening line, done) while one is open
+def _config_lines(text):
+    """(line number, stripped line) of every line of a config that is
+    neither blank nor a '#' comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        at = lineno
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _read_matrix(n, tokens, lines, opened):
+    """Rows of an n x n matrix whose entries start with tokens, on the
+    line numbered opened, and continue over the next lines of lines.
+    A bad or extra entry is reported on its own line, missing entries
+    on the opening line."""
+    values = []
+    rest = ((lineno, line.split()) for lineno, line in lines)
+    for lineno, tokens in chain([(opened, tokens)], rest):
         try:
-            if matrix is None:
-                opened = read_line(line, lineno)
-                if opened is None:
-                    continue
-                n, tokens, done = opened
-                matrix = (n, [], lineno, done)
-            else:
-                tokens = line.split()
-            n, values, start, done = matrix
-            values.extend(parse_rational(tok) for tok in tokens)
+            values += map(parse_rational, tokens)
             if len(values) > n * n:
                 raise ValueError("too many matrix entries")
-            if len(values) == n * n:
-                matrix, at = None, start
-                done([values[i * n : (i + 1) * n] for i in range(n)])
         except ValueError as exc:
-            raise ConfigFormatError(str(exc), at) from exc
-    if matrix is not None:
-        raise ConfigFormatError("matrix entries missing", matrix[2])
+            raise ConfigFormatError(str(exc), lineno) from exc
+        if len(values) == n * n:
+            return [values[i * n : (i + 1) * n] for i in range(n)]
+    raise ConfigFormatError("matrix entries missing", opened)
 
 
-def _read_n(line):
-    """State count of an `n=` line, which must be at least one."""
+def _read_n(line, n):
+    """State count of an `n=` line, which must be the first `n=` line
+    (n is the count read so far, or None) and at least one."""
+    if n is not None:
+        raise ValueError("n= given twice")
     n = int(line[2:])
     if n < 1:
         raise ValueError(f"state count {n} must be at least 1")
@@ -692,57 +674,65 @@ def _read_n(line):
 def read_mis_config(text):
     """Parse the system config format.
 
-    Lines: n=<k>, omega=<p/q>, delta=<p/q>, one `hyperplane: a_1 .. a_n`
-    per discontinuity, then `cell: <pattern> matrix: <n*n rationals>`
-    entries (the matrix may continue on following lines). A lone `.`
-    stands for the empty pattern of a hyperplane-free system. Matrices
-    must carry strictly positive diagonals unless the file opts out with
-    `unchecked=1` (needed by constructions whose reset rows empty a
-    vertex).
+    Lines: n=<k> (once), omega=<p/q>, delta=<p/q>, one
+    `hyperplane: a_1 .. a_n` per discontinuity, then
+    `cell: <pattern> matrix: <n*n rationals>` entries (the matrix may
+    continue on following lines). A lone `.` stands for the empty
+    pattern of a hyperplane-free system. Matrices must carry strictly
+    positive diagonals unless the file opts out with `unchecked=1`
+    (needed by constructions whose reset rows empty a vertex). Errors
+    name the line they occur on, except a missing `n=`.
     """
     n = omega = delta = None
     unchecked = False
     hyperplanes = []
     cells = []
-
-    def read_line(line, _lineno):
-        nonlocal n, omega, delta, unchecked
-        if line.startswith("n="):
-            n = _read_n(line)
-        elif line.startswith("omega="):
-            omega = parse_rational(line[6:])
-        elif line.startswith("delta="):
-            delta = parse_rational(line[6:])
-        elif line.startswith("unchecked="):
-            unchecked = line[10:].strip() == "1"
-        elif line.startswith("hyperplane:"):
-            if n is None:
-                raise ValueError("hyperplane before n=")
-            coeffs = [parse_rational(tok) for tok in line[len("hyperplane:"):].split()]
-            if len(coeffs) != n:
-                raise ValueError(f"hyperplane needs {n} coefficients, got {len(coeffs)}")
-            hyperplanes.append(Hyperplane(tuple(coeffs)))
-        elif line.startswith("cell:"):
-            if n is None:
-                raise ValueError("cell before n=")
-            rest = line[len("cell:"):].split()
-            if not rest:
-                raise ValueError("cell line needs a sign pattern")
-            pattern = "" if rest[0] == "." else rest[0]
-            if len(pattern) != len(hyperplanes):
-                raise ValueError(
-                    f"pattern {pattern!r} does not cover {len(hyperplanes)} hyperplanes"
-                )
-            if len(rest) < 2 or rest[1] != "matrix:":
-                raise ValueError("expected 'matrix:' after the pattern")
-            return n, rest[2:], lambda rows: cells.append(_config_cell(pattern, rows, unchecked))
-        else:
-            raise ValueError(f"unrecognized line {line!r}")
-        return None
-
-    _read_config(text, read_line)
+    lines = _config_lines(text)
+    for lineno, line in lines:
+        try:
+            if line.startswith("n="):
+                n = _read_n(line, n)
+            elif line.startswith("omega="):
+                omega = parse_rational(line[6:])
+            elif line.startswith("delta="):
+                delta = parse_rational(line[6:])
+            elif line.startswith("unchecked="):
+                unchecked = line[10:].strip() == "1"
+            elif line.startswith("hyperplane:"):
+                if n is None:
+                    raise ValueError("hyperplane before n=")
+                coeffs = [parse_rational(tok) for tok in line[len("hyperplane:"):].split()]
+                if len(coeffs) != n:
+                    raise ValueError(f"hyperplane needs {n} coefficients, got {len(coeffs)}")
+                hyperplanes.append(Hyperplane(tuple(coeffs)))
+            elif line.startswith("cell:"):
+                if n is None:
+                    raise ValueError("cell before n=")
+                rest = line[len("cell:"):].split()
+                if not rest:
+                    raise ValueError("cell line needs a sign pattern")
+                pattern = "" if rest[0] == "." else rest[0]
+                if len(pattern) != len(hyperplanes):
+                    raise ValueError(
+                        f"pattern {pattern!r} does not cover {len(hyperplanes)} hyperplanes"
+                    )
+                if len(rest) < 2 or rest[1] != "matrix:":
+                    raise ValueError("expected 'matrix:' after the pattern")
+                rows = _read_matrix(n, rest[2:], lines, lineno)
+                matrix = StochasticMatrix(rows, allow_zero_diagonal=True)
+                if not unchecked and not matrix.has_positive_diagonal():
+                    raise ValueError(
+                        "cell matrix has a zero diagonal entry (set unchecked=1 to allow)"
+                    )
+                cells.append(Cell(pattern, matrix))
+            else:
+                raise ValueError(f"unrecognized line {line!r}")
+        except ConfigFormatError:
+            raise
+        except ValueError as exc:
+            raise ConfigFormatError(str(exc), lineno) from exc
     if n is None:
-        raise ConfigFormatError("missing n=", 1)
+        raise ValueError("missing n=")
     kwargs = {}
     if omega is not None:
         kwargs["omega"] = omega
@@ -751,45 +741,36 @@ def read_mis_config(text):
     return MISystem(n, hyperplanes, cells, **kwargs)
 
 
-def _config_cell(pattern, rows, unchecked):
-    matrix = StochasticMatrix(rows, allow_zero_diagonal=True)
-    if not unchecked and not matrix.has_positive_diagonal():
-        raise ValueError("cell matrix has a zero diagonal entry (set unchecked=1 to allow)")
-    return Cell(pattern, matrix)
-
-
 def read_lift_config(text):
     """Parse a variance-threshold pair for kronecker_variance_lift.
 
-    Lines: n=<k>, `xi: <n rationals>`, `threshold: <p/q>`, then
+    Lines: n=<k> (once), `xi: <n rationals>`, `threshold: <p/q>`, then
     `A: <n*n rationals>` and `B: <n*n rationals>` (each matrix may
     continue on following lines). Returns (A, B, xi, threshold).
     """
     n = xi = threshold = xi_line = None
     matrices = {}
-
-    def read_line(line, lineno):
-        nonlocal n, xi, threshold, xi_line
-        if line.startswith("n="):
-            n = _read_n(line)
-        elif line.startswith("xi:"):
-            xi = [parse_rational(tok) for tok in line[3:].split()]
-            xi_line = lineno
-        elif line.startswith("threshold:"):
-            threshold = parse_rational(line[len("threshold:"):].strip())
-        elif line.startswith(("A:", "B:")):
-            if n is None:
-                raise ValueError("matrix before n=")
-
-            def done(rows):
+    lines = _config_lines(text)
+    for lineno, line in lines:
+        try:
+            if line.startswith("n="):
+                n = _read_n(line, n)
+            elif line.startswith("xi:"):
+                xi = [parse_rational(tok) for tok in line[3:].split()]
+                xi_line = lineno
+            elif line.startswith("threshold:"):
+                threshold = parse_rational(line[len("threshold:"):].strip())
+            elif line.startswith(("A:", "B:")):
+                if n is None:
+                    raise ValueError("matrix before n=")
+                rows = _read_matrix(n, line[2:].split(), lines, lineno)
                 matrices[line[0]] = StochasticMatrix(rows)
-
-            return n, line[2:].split(), done
-        else:
-            raise ValueError(f"unrecognized line {line!r}")
-        return None
-
-    _read_config(text, read_line)
+            else:
+                raise ValueError(f"unrecognized line {line!r}")
+        except ConfigFormatError:
+            raise
+        except ValueError as exc:
+            raise ConfigFormatError(str(exc), lineno) from exc
     if n is None or xi is None or threshold is None or set(matrices) != {"A", "B"}:
         raise ValueError("lift input needs n=, xi:, threshold:, A: and B:")
     if len(xi) != n:

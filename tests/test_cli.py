@@ -119,14 +119,18 @@ def test_clock_command_writes_a_trace(tmp_path, capsys):
     assert len(lines) == 1 + 7 and lines[-1].startswith("6,,")
 
 
+# One plane 2 x_1 = 1 + delta: an identity cell above it, a rank-one cell below.
+PLANE_CONFIG = (
+    "n=2\nomega=1/4\ndelta=0\nhyperplane: 2 0\n"
+    "cell: + matrix: 1 0 0 1\ncell: - matrix: 1/3 2/3 1/3 2/3\n"
+)
+
+
 def test_simulate_delta_overrides_the_config(tmp_path, capsys):
     # The start (1/2, 1/2) sits on the plane 2 x_1 = 1 + delta at delta 0;
     # below it, for delta = 1/8, the rank-one cell moves it once.
     cfg = tmp_path / "sys.txt"
-    cfg.write_text(
-        "n=2\nomega=1/4\ndelta=0\nhyperplane: 2 0\n"
-        "cell: + matrix: 1 0 0 1\ncell: - matrix: 1/3 2/3 1/3 2/3\n"
-    )
+    cfg.write_text(PLANE_CONFIG)
     args = ["simulate", str(cfg), "--x0", "1/2,1/2", "--horizon", "20"]
     assert main(args) == 0
     assert capsys.readouterr().out == "verdict=exact-periodic transient=0 period=1\n"
@@ -134,6 +138,26 @@ def test_simulate_delta_overrides_the_config(tmp_path, capsys):
     assert capsys.readouterr().out == "verdict=exact-periodic transient=1 period=1 tau=0\n"
     assert main(args + ["--delta=-1/8"]) == 0
     assert capsys.readouterr().out == "verdict=exact-periodic transient=0 period=1 tau=1\n"
+
+
+def test_simulate_takes_a_negative_delta_in_both_spellings(tmp_path, capsys):
+    cfg = tmp_path / "sys.txt"
+    cfg.write_text(PLANE_CONFIG)
+    args = ["simulate", str(cfg), "--x0", "1/2,1/2", "--horizon", "20"]
+    for spelling in (["--delta=-1/8"], ["--delta", "-1/8"]):
+        assert main(args + spelling) == 0
+        assert capsys.readouterr().out == "verdict=exact-periodic transient=0 period=1 tau=1\n"
+
+
+def test_baker_takes_a_negative_delta_in_both_spellings(tmp_path, capsys):
+    out = tmp_path / "baker.csv"
+    args = ["baker", "--steps", "5", "--seed", "3", "--out", str(out)]
+    written = []
+    for spelling in ([], ["--delta=-1/16"], ["--delta", "-1/16"]):
+        assert main(args + spelling) == 0
+        written.append(out.read_text())
+    capsys.readouterr()
+    assert written[0] != written[1] == written[2]
 
 
 def test_simulate_baker_config_unresolved(tmp_path, capsys):
@@ -307,6 +331,8 @@ INPUT_FILES = {
     "cfg_cell_without_matrix": "n=1\ncell: . 1\n",
     "cfg_matrix_short": "n=2\ncell: . matrix:\n  1/2 1/2\n",
     "cfg_without_n": "omega=1/4\ndelta=0\n",
+    "cfg_n_twice": "n=3\nn=2\ncell: . matrix: 1 0 0 1\n",
+    "lift_n_twice": "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nn=1\nB: 1\n",
 }
 
 
@@ -347,7 +373,12 @@ INPUT_FILES = {
         (["simulate", "{cfg_cell_without_matrix}", "--x0", "1"],
          "line 2: expected 'matrix:' after the pattern"),
         (["simulate", "{cfg_matrix_short}", "--x0", "1,0"], "line 2: matrix entries missing"),
-        (["simulate", "{cfg_without_n}", "--x0", "1"], "line 1: missing n="),
+        (["simulate", "{cfg_without_n}", "--x0", "1"], "error: missing n="),
+        (["simulate", "{cfg_n_twice}", "--x0", "1,0"], "line 2: n= given twice"),
+        (["lift", "{lift_n_twice}", "--out", "{out}"], "line 5: n= given twice"),
+        (["baker", "--x0", "1/8,1/4,3/8,1/4,0", "--out", "{out}"], "2*x1 equals x4"),
+        (["simulate", "{cfg}", "--x0", "1,0", "--mode", "dyadic", "--dyadic-bits", "-3"],
+         "dyadic precision -3 must be at least 1"),
         (["lift", "{lift_unrecognized}", "--out", "{out}"], "line 3: unrecognized line 'C: 1 0 0 1'"),
         (["lift", "{lift_incomplete}", "--out", "{out}"],
          "lift input needs n=, xi:, threshold:, A: and B:"),
@@ -379,6 +410,10 @@ INPUT_FILES = {
         "config-cell-without-matrix",
         "config-matrix-entries-missing",
         "config-without-n",
+        "config-n-twice",
+        "lift-n-twice",
+        "baker-degenerate-start",
+        "simulate-dyadic-bits-negative",
         "lift-unrecognized-line",
         "lift-missing-keys",
     ],

@@ -299,6 +299,49 @@ def test_sequence_text_errors():
         dg.read_sequence_text("n=3\n1 2\n\nn=4\n1 2\n")
 
 
+def test_sequence_text_blank_lines_and_ends():
+    one_two, two_one = Digraph(2, (0b11, 0b10)), Digraph(2, (0b01, 0b11))
+    assert dg.read_sequence_text("n=2\n1 2\n\n \n\t\n\nn=2\n2 1") == [one_two, two_one]
+    assert dg.read_sequence_text("\n  \nn=2\n\nn=2\r\n 1 2 \r\n\n") == [
+        Digraph.identity(2),
+        one_two,
+    ]
+    assert dg.read_sequence_text("") == []
+    assert dg.read_sequence_text("\n \n\t\n") == []
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("m=3\n1 2\n", 1, "expected 'n=<k>' header, got 'm=3'"),
+        ("\n\nn=x\n", 3, "bad vertex count in 'n=x'"),
+        ("n=3\n1 2\n\n\nn=4\n1 2\n", 5, "vertex count changed from 3 to 4"),
+        ("n=3\n\nn=0\n", 3, "vertex count changed from 3 to 0"),
+        ("\nn=0\n", 2, "vertex count 0 outside dense range 1..64"),
+        ("n=3\n1 2\n2 5\n", 3, "edge (2, 5) outside 1..3"),
+        ("n=3\n1 2 3\n", 2, "expected 'u v' edge, got '1 2 3'"),
+        ("n=3\n1 b\n", 2, "non-integer edge '1 b'"),
+        ("n=3\n1 2\n\n 2 3\n", 4, "expected 'n=<k>' header, got '2 3'"),
+    ],
+    ids=[
+        "bad-header",
+        "bad-count",
+        "count-changed",
+        "count-changed-to-0",
+        "count-0",
+        "edge-out-of-range",
+        "three-tokens",
+        "non-integer-edge",
+        "edge-after-blank",
+    ],
+)
+def test_sequence_text_error_lines(text, line, message):
+    with pytest.raises(SequenceFormatError) as err:
+        dg.read_sequence_text(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_dot_output_mentions_edges():
     g = chain3()
     dot = dg.to_dot(g)

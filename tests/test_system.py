@@ -486,6 +486,32 @@ def test_config_errors_carry_line_numbers():
         )
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("n=2\ncell: . matrix: 1/2 1/2\n\n# rest\n  1/2 x\n", 5, "invalid rational"),
+        ("n=2\ncell: . matrix: 1/2 1/2\n  1/2 1/2 1\n", 3, "too many matrix entries"),
+        ("n=2\ncell: . matrix:\n  1/2 1/2\n# end\n", 2, "matrix entries missing"),
+        ("n=2\ncell: . matrix:\n  1/2 1/2\n  1/4 1/4\n", 2, "row 1 does not sum to 1"),
+        ("n=1\ncell: . matrix:\nomega=1/4\n", 3, "invalid rational"),
+        ("n=2\nhyperplane: 1 1\nn=3\n", 3, "n= given twice"),
+    ],
+    ids=[
+        "bad-entry-on-its-line",
+        "extra-entry-on-its-line",
+        "missing-entries-on-opening-line",
+        "bad-row-on-opening-line",
+        "next-key-read-as-entries",
+        "n-twice",
+    ],
+)
+def test_config_error_lines(text, line, message):
+    with pytest.raises(ConfigFormatError) as err:
+        read_mis_config(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: {message}")
+
+
 def test_trace_csv_exact_and_decimal():
     s = StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
     tr = orbit(constant_system(s), SimplexVector((1, 0)), 3)
