@@ -16,6 +16,7 @@ putting them exactly on an orbit value would park the state on a
 discontinuity, where the dynamics is the identity, and freeze the clock.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,18 +145,14 @@ def build_clock(levels, inner_horizon=4096):
         ("++", _GADGET_RESET, "reset"),
     )
     base_modes = (("+", _BASE_HALVE, "halve"), ("-", _BASE_RESET, "reset"))
-
-    def emit(pattern, blocks, labels, k):
-        if k > levels:
-            cells.append(
-                Cell(pattern, _block_diagonal(blocks, n), label=",".join(labels))
-            )
-            return
-        for sub, block, name in gadget_modes:
-            emit(pattern + sub, blocks + [block], labels + [f"g{k}:{name}"], k + 1)
-
-    for sub, block, name in base_modes:
-        emit(sub, [block], [name], 1)
+    # One cell per base mode and choice of gadget modes, gadget 1 varying
+    # slowest.
+    for base_sub, base_block, base_name in base_modes:
+        for gadgets in itertools.product(gadget_modes, repeat=levels):
+            pattern = base_sub + "".join(sub for sub, _, _ in gadgets)
+            blocks = [base_block] + [block for _, block, _ in gadgets]
+            labels = [base_name] + [f"g{k}:{name}" for k, (_, _, name) in enumerate(gadgets, 1)]
+            cells.append(Cell(pattern, _block_diagonal(blocks, n), label=",".join(labels)))
     omega = Fraction(1, 4) if levels == 0 else (
         Fraction(1, 64) if levels == 1 else Fraction(1, 2**64)
     )

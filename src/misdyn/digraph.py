@@ -103,6 +103,7 @@ class Digraph:
         return bool(self.bits >> (i * self.n + j) & 1)
 
     def edges(self, include_loops=False):
+        """Edge pairs (i, j) in row-major order, so already sorted."""
         for i, r in enumerate(self.rows):
             for j in _vertices(r):
                 if include_loops or i != j:
@@ -125,8 +126,7 @@ class Digraph:
         return hash((self.n, self.bits))
 
     def __repr__(self):
-        es = sorted(self.edges())
-        return f"Digraph(n={self.n}, edges={es})"
+        return f"Digraph(n={self.n}, edges={list(self.edges())})"
 
 
 def _vertices(mask):
@@ -318,7 +318,7 @@ def write_sequence_text(graphs):
     parts = []
     for g in graphs:
         lines = [f"n={g.n}"]
-        lines.extend(f"{u + 1} {v + 1}" for u, v in sorted(g.edges()))
+        lines.extend(f"{u + 1} {v + 1}" for u, v in g.edges())
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
 
@@ -328,7 +328,7 @@ def to_dot(g, name="g"):
     lines = [f"digraph {name} {{"]
     for i in range(g.n):
         lines.append(f"  {i + 1};")
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         lines.append(f"  {u + 1} -> {v + 1};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -336,7 +336,4 @@ def to_dot(g, name="g"):
 
 def edge_label(g):
     """Compact 1-based edge listing used to annotate tree dumps."""
-    es = sorted(g.edges())
-    if not es:
-        return "loops"
-    return ",".join(f"{u + 1}>{v + 1}" for u, v in es)
+    return ",".join(f"{u + 1}>{v + 1}" for u, v in g.edges()) or "loops"

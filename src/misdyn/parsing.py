@@ -78,29 +78,6 @@ class ParseNode:
             return self.annotation
         return transitive_closure(self.cumulant)
 
-    def structurally_equal(self, other):
-        if self.kind != other.kind:
-            return False
-        if self.kind == LEAF:
-            return self.graph_index == other.graph_index
-        if self.kind == SPECIAL and self.annotation != other.annotation:
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        return all(a.structurally_equal(b) for a, b in zip(self.children, other.children))
-
-    def clone(self):
-        node = ParseNode(
-            self.kind,
-            graph_index=self.graph_index,
-            graph=self.graph,
-            annotation=self.annotation,
-            children=[c.clone() for c in self.children],
-            cumulant=self.cumulant,
-        )
-        node.height = self.height
-        return node
-
 
 class ParseTree:
     """Parse tree of a digraph sequence, built by appending graphs.
@@ -204,17 +181,31 @@ class ParseTree:
     def copy(self):
         t = ParseTree(self.n)
         t.length = self.length
-        t.root = self.root.clone() if self.root is not None else None
+        twins = []
+        for node, parent in self.preorder():
+            twin = ParseNode(
+                node.kind,
+                graph_index=node.graph_index,
+                graph=node.graph,
+                annotation=node.annotation,
+                cumulant=node.cumulant,
+            )
+            twin.height = node.height
+            twins.append(twin)
+            if parent >= 0:
+                twins[parent].children.append(twin)
+        t.root = twins[0] if twins else None
         return t
 
     def __eq__(self, other):
         if not isinstance(other, ParseTree):
             return NotImplemented
-        if self.length != other.length or self.n != other.n:
-            return False
-        if self.root is None or other.root is None:
-            return self.root is other.root
-        return self.root.structurally_equal(other.root)
+        return (self.n, self.length, self._shape()) == (other.n, other.length, other._shape())
+
+    def _shape(self):
+        # Preorder with child counts fixes the tree; leaves add their
+        # index and special nodes their annotation.
+        return [(v.kind, v.graph_index, v.annotation, len(v.children)) for v, _ in self.preorder()]
 
     def __hash__(self):
         return hash((self.n, self.length))
@@ -238,23 +229,20 @@ class ParseTree:
 
     def dump(self):
         """Stable indented text rendering, one node per line."""
+        if self.root is None:
+            return "(empty)\n"
         lines = []
-
-        def walk(node, indent):
-            pad = "  " * indent
+        depths = []
+        for node, parent in self.preorder():
+            depth = depths[parent] + 1 if parent >= 0 else 0
+            depths.append(depth)
+            pad = "  " * depth
             if node.is_leaf:
                 lines.append(f"{pad}leaf {node.graph_index + 1} [{edge_label(node.graph)}]")
-                return
-            if node.is_special:
+            elif node.is_special:
                 lines.append(f"{pad}special tf=[{edge_label(node.annotation)}]")
             else:
                 lines.append(f"{pad}node")
-            for child in node.children:
-                walk(child, indent + 1)
-
-        if self.root is None:
-            return "(empty)\n"
-        walk(self.root, 0)
         return "\n".join(lines) + "\n"
 
     def to_dot(self, name="parse"):
@@ -411,11 +399,11 @@ def backward_parse(seq):
     """
     seq = list(seq)
     tree = parse([reverse(g) for g in seq])
-    _reverse_stored(tree.root)
+    _reverse_stored(tree)
     return tree
 
 
-def _reverse_stored(root):
+def _reverse_stored(tree):
     # A leaf's graph is also its cumulant, and parents often share their
     # cumulant with a child, so each distinct graph is reversed once.
     reversed_of = {}
@@ -428,10 +416,7 @@ def _reverse_stored(root):
             r = reversed_of[g] = reverse(g)
         return r
 
-    stack = [root] if root is not None else []
-    while stack:
-        node = stack.pop()
+    for node, _ in tree.preorder():
         node.cumulant = flip(node.cumulant)
         node.graph = flip(node.graph)
         node.annotation = flip(node.annotation)
-        stack.extend(node.children)

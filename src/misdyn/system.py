@@ -454,12 +454,6 @@ class OrbitTrace:
     verdict: PeriodVerdict
     inexact: bool = False
 
-    @property
-    def hit_discontinuity(self):
-        """True when some state sat exactly on a hyperplane (the map is
-        the identity there, so the orbit froze)."""
-        return any(c is ON_DISCONTINUITY for c in self.itinerary)
-
 
 def _round_dyadic(x, bits):
     scale = 1 << bits
@@ -482,6 +476,8 @@ def _mode_orbit(system, x0, horizon, mode, bit_cap, dyadic_bits=None):
         raise ValueError(f"unknown arithmetic mode {mode!r}")
     if mode == "dyadic" and dyadic_bits < 1:
         raise ValueError(f"dyadic precision {dyadic_bits} must be at least 1")
+    if mode == "capped" and bit_cap is not None and bit_cap < 1:
+        raise ValueError(f"bit cap {bit_cap} must be at least 1")
     return _Orbit(
         system,
         x0,

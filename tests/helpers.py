@@ -197,6 +197,60 @@ def undirected_clique_growth_sequence(k, rounds):
     return seq
 
 
+def single_edge_staircase_sequence(n):
+    """The edges i -> j, i < j, one per graph in lexicographic order. No
+    edge is implied by earlier ones, so every append grows the cumulant
+    and the tree is a fishbone of depth n(n-1)/2."""
+    loops = [(i, i) for i in range(n)]
+    return [
+        dg.Digraph.from_edges(n, loops + [(i, j)]) for i in range(n) for j in range(i + 1, n)
+    ]
+
+
+def reference_dump(tree):
+    """Recursive tree dump: the rendering ParseTree.dump must reproduce."""
+    lines = []
+
+    def walk(node, indent):
+        pad = "  " * indent
+        if node.is_leaf:
+            lines.append(f"{pad}leaf {node.graph_index + 1} [{dg.edge_label(node.graph)}]")
+            return
+        if node.is_special:
+            lines.append(f"{pad}special tf=[{dg.edge_label(node.annotation)}]")
+        else:
+            lines.append(f"{pad}node")
+        for child in node.children:
+            walk(child, indent + 1)
+
+    if tree.root is None:
+        return "(empty)\n"
+    walk(tree.root, 0)
+    return "\n".join(lines) + "\n"
+
+
+def reference_tree_equal(a, b):
+    """Recursive structural equality: same kinds, leaf indices, special
+    annotations and child counts node by node; cumulants are ignored."""
+
+    def equal(u, v):
+        if u.kind != v.kind:
+            return False
+        if u.is_leaf:
+            return u.graph_index == v.graph_index
+        if u.is_special and u.annotation != v.annotation:
+            return False
+        if len(u.children) != len(v.children):
+            return False
+        return all(equal(x, y) for x, y in zip(u.children, v.children))
+
+    if (a.n, a.length) != (b.n, b.length):
+        return False
+    if a.root is None or b.root is None:
+        return a.root is b.root
+    return equal(a.root, b.root)
+
+
 def quadratic_threshold_step(a, b, xi, threshold, x):
     """Reference stepper for the variance-threshold rule, mirroring the
     discontinuity convention of the lifted system (ties map to the

@@ -382,6 +382,8 @@ INPUT_FILES = {
         (["lift", "{lift_unrecognized}", "--out", "{out}"], "line 3: unrecognized line 'C: 1 0 0 1'"),
         (["lift", "{lift_incomplete}", "--out", "{out}"],
          "lift input needs n=, xi:, threshold:, A: and B:"),
+        (["simulate", "{cfg}", "--x0", "1,0", "--bit-cap", "0"], "bit cap 0 must be at least 1"),
+        (["baker", "--out", "{out}", "--bit-cap", "-5"], "bit cap -5 must be at least 1"),
     ],
     ids=[
         "simulate-horizon-0",
@@ -416,6 +418,8 @@ INPUT_FILES = {
         "simulate-dyadic-bits-negative",
         "lift-unrecognized-line",
         "lift-missing-keys",
+        "simulate-bit-cap-0",
+        "baker-bit-cap-negative",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):

@@ -156,6 +156,16 @@ def test_clock_masses_and_layout():
     assert sum(x0[0:2]) == spec.group_mass
     assert sum(x0[2:5]) == spec.group_mass
     assert sum(x0[5:8]) == spec.group_mass
+    # One cell per base mode and gadget modes, the last gadget varying fastest.
+    gadget = (("-*", "halve"), ("+-", "transfer"), ("++", "reset"))
+    expected = [
+        (base + s1 + s2, f"{name},g1:{n1},g2:{n2}")
+        for base, name in (("+", "halve"), ("-", "reset"))
+        for s1, n1 in gadget
+        for s2, n2 in gadget
+    ]
+    assert [(c.pattern, c.label) for c in system.cells] == expected
+    assert system.cells[1].label == "halve,g1:halve,g2:transfer"
 
 
 # ---------------------------------------------------------------------------

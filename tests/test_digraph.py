@@ -264,8 +264,11 @@ def test_kernels_match_edge_set_oracles_at_every_vertex_count(n, p, q, seed):
     assert dg.undirected_transitive_front(g) == utf
     assert dg.ordering_leq(g, h) == (eg <= eh)
     assert dg.ordering_leq(g, closure)
+    # edges() yields row-major order, which the text writers rely on.
+    assert list(g.edges()) == sorted(g.edges())
     # Kernel results derive their rows from the flat bits.
     for k in (gh, rev, tf):
+        assert list(k.edges(include_loops=True)) == sorted(k.edges(include_loops=True))
         assert Digraph(n, k.rows) == k
         assert Digraph.from_edges(n, k.edges(include_loops=True)).rows == k.rows
         assert k.edge_count(include_loops=True) == len(edge_set(k))

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misdyn import digraph as dg
+from misdyn.cli import main
 from misdyn.digraph import Digraph
 from misdyn.parsing import (
     ParseTree,
@@ -20,6 +21,9 @@ from helpers import (
     graph_from_edge_set,
     oracle_scc,
     random_digraph,
+    reference_dump,
+    reference_tree_equal,
+    single_edge_staircase_sequence,
     undirected_clique_growth_sequence,
 )
 
@@ -517,3 +521,106 @@ def test_dot_contains_all_leaves():
     dot = t.to_dot()
     for k in range(1, 5):
         assert f"g{k}" in dot
+
+
+# ---------------------------------------------------------------------------
+# Copy, equality and dump
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    length=st.integers(0, 16),
+    p=st.floats(0, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_copy_equality_and_dump_match_recursive_references(n, length, p, seed):
+    rng = random.Random(seed)
+    seq = [random_digraph(rng, n, p) for _ in range(length)]
+    tree = parse(seq, n)
+    assert tree.dump() == reference_dump(tree)
+    twin = tree.copy()
+    assert twin == tree and reference_tree_equal(twin, tree)
+    assert twin.dump() == tree.dump() and twin.depth() == tree.depth()
+    assert [v.cumulant for v, _ in twin.preorder()] == [v.cumulant for v, _ in tree.preorder()]
+    back = backward_parse(seq)
+    assert back.dump() == reference_dump(back)
+    for other in (back, parse(seq[:-1], n), parse(seq[::-1], n)):
+        assert (other == tree) == reference_tree_equal(other, tree)
+
+
+def _cycle_then_identity():
+    # The stalled identity append opens a special node (see above).
+    edges = ({(0, 1)}, {(1, 2)}, {(2, 0)}, set())
+    return parse([graph_from_edge_set(3, e) for e in edges])
+
+
+def test_trees_differing_in_one_annotation_index_or_child_count_are_unequal():
+    tree = _cycle_then_identity()
+    twin = tree.copy()
+    special = next(v for v, _ in twin.preorder() if v.is_special)
+    assert special.annotation != Digraph.complete(3)
+    special.annotation = Digraph.complete(3)
+    assert twin != tree and not reference_tree_equal(twin, tree)
+
+    twin = tree.copy()
+    twin.leaves()[0].graph_index = 7
+    assert twin != tree and not reference_tree_equal(twin, tree)
+
+    # Move the last grandchild up to be the last child of the root: the
+    # preorder of kinds, indices and annotations stays the same and only
+    # two child counts change.
+    rng = random.Random(31)
+    moved = 0
+    while moved < 5:
+        tree = parse(random_sequence(rng))
+        twin = tree.copy()
+        for v, _ in twin.preorder():
+            w = v.children[-1] if v.children else None
+            if w is not None and len(w.children) >= 2:
+                v.children.append(w.children.pop())
+                break
+        else:
+            continue
+        moved += 1
+        assert [(v.kind, v.graph_index) for v, _ in twin.preorder()] == [
+            (v.kind, v.graph_index) for v, _ in tree.preorder()
+        ]
+        assert twin != tree and not reference_tree_equal(twin, tree)
+
+
+def test_appending_to_a_copy_leaves_the_original():
+    rng = random.Random(32)
+    for _ in range(20):
+        seq = random_sequence(rng)
+        extra = random_sequence(rng, n=seq[0].n, length=5)
+        tree = parse(seq)
+        before = tree.dump()
+        twin = tree.copy()
+        for g in extra:
+            twin.append(g)
+        assert tree.dump() == before and tree.length == len(seq)
+        assert tree == parse(seq)
+        assert twin == parse(seq + extra)
+
+
+def test_copy_equality_and_dump_at_quadratic_depth():
+    for side in (24, 32):
+        tree = parse(bipartite_single_edge_sequence(side))
+        assert tree.depth() >= side * side
+        twin = tree.copy()
+        assert twin == tree and twin.depth() == tree.depth()
+        lines = tree.dump().splitlines()
+        assert twin.dump().splitlines() == lines
+        assert len(lines) == len(list(tree.preorder()))
+        assert max(len(line) - len(line.lstrip()) for line in lines) == 2 * tree.depth()
+
+
+def test_cli_parses_the_64_vertex_staircase(tmp_path, capsys):
+    seq = single_edge_staircase_sequence(64)
+    path = tmp_path / "staircase.txt"
+    path.write_text(dg.write_sequence_text(seq))
+    assert main(["parse", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("leaves=2016 depth=2016\n")
+    assert out.count("leaf ") == 2016
