@@ -128,13 +128,18 @@ def build_clock(levels, inner_horizon=4096):
             # Gadget k fires when gadget k-1 has just reset (its x back at
             # the full group mass). With p the period of the subsystem
             # below gadget k-1, steady sweeps keep x at or under
-            # m * (1 - 2^(1-p)), and the one transient transfer out of the
-            # half-mass start reaches exactly m * (1 - 2^-p); the threshold
-            # m * (1 - 2^-(p+1)) clears both without touching any orbit
-            # value.
+            # m * (1 - 2^(1-p)). The one transient transfer ends gadget
+            # k-1's first sweep, which halves x from its m/2 start until
+            # the level below first fires: after p - 1 steps for gadget 1
+            # (the base starts one step past its lead state), reaching
+            # m * (1 - 2^-p), and after p steps for gadget 2 (gadget 1
+            # first resets at step p), reaching m * (1 - 2^-(p+1)). One more
+            # halving, m * (1 - 2^-(p+1)) for k = 2 and m * (1 - 2^-(p+2))
+            # above, clears both without touching any orbit value.
             p = inner_periods[k - 2]
+            exponent = p + 1 if k == 2 else p + 2
             ring = _axis_hyperplane(
-                n, spec.gadget_start(k - 1), m * (1 - Fraction(1, 2 ** (p + 1)))
+                n, spec.gadget_start(k - 1), m * (1 - Fraction(1, 2**exponent))
             )
         hyperplanes.append(ring)
         hyperplanes.append(_axis_hyperplane(n, spec.z_index(k), m / 2))

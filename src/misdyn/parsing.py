@@ -2,13 +2,15 @@
 
 The tree tracks how the cumulant of a sequence grows. While the
 cumulant grows strictly, appends stack a new root over the old one (a
-"fishbone"). When the cumulant is stuck, the append descends to the
-lowest internal node v on the rightmost path whose cumulant absorbs the
-new graph (c_v * g == c_v) and edits below it. Four cases apply,
-split on whether c_v is transitive and whether v's rightmost child is a
-leaf; the non-transitive cases insert a special node annotated with the
-transitive front tf(c_v), the densest graph that cannot extend any walk
-recorded in c_v.
+"fishbone"). When the cumulant is stuck, the append descends the
+rightmost path to the lowest internal node v whose cumulant absorbs the
+new graph g (c_v * g == c_v). The trailing segment below v is v's last
+child w, or empty when w is a leaf, and c is the segment's product with
+g. Two rules then apply. If c_v is transitive, the leaf joins v when
+c == c_v and otherwise replaces the segment under a new node with
+cumulant c. If c_v is not transitive, that new node goes under a special
+node annotated with the transitive front tf(c_v), the densest graph
+that cannot extend any walk recorded in c_v.
 
 Every node caches the product of the leaf graphs below it. Sketches
 (transitive coarse-grainings: cl(c_v) for ordinary nodes, the tf
@@ -99,23 +101,15 @@ class ParseTree:
         return self.root.height if self.root is not None else 0
 
     def append(self, g):
-        if self.root is None:
-            if self.n and g.n != self.n:
-                raise ValueError(f"vertex count mismatch: {g.n} != {self.n}")
-            self.n = g.n
-            leaf = _leaf(self.length, g)
-            self.root = ParseNode(INTERNAL, children=[leaf], cumulant=g)
-            self.length = 1
-            return self
-        if g.n != self.n:
+        if self.n and g.n != self.n:
             raise ValueError(f"vertex count mismatch: {g.n} != {self.n}")
-        grown = product(self.root.cumulant, g)
+        self.n = g.n
         leaf = _leaf(self.length, g)
-        if grown != self.root.cumulant:
+        if self.root is None:
+            self.root = ParseNode(INTERNAL, children=[leaf], cumulant=g)
+        elif (grown := product(self.root.cumulant, g)) != self.root.cumulant:
             # Strict cumulant growth: stack a new root.
-            self.root = ParseNode(
-                INTERNAL, children=[self.root, leaf], cumulant=grown
-            )
+            self.root = ParseNode(INTERNAL, children=[self.root, leaf], cumulant=grown)
         else:
             self._append_stuck(leaf, g)
         self.length += 1
@@ -123,60 +117,40 @@ class ParseTree:
         return self
 
     def _append_stuck(self, leaf, g):
-        # Descend the rightmost path to the lowest internal node whose
+        # Descend the rightmost path to the lowest internal node v whose
         # cumulant absorbs g. The root qualifies, and absorption is
-        # inherited upward, so a plain walk suffices.
+        # inherited upward, so a plain walk suffices; the product that
+        # stops it is the segment's product c, kept for the edit. A child
+        # with its parent's cumulant absorbs g too, so it costs no product.
         path = [self.root]
-        v = self.root
-        while True:
-            w = v.children[-1]
-            if w.is_leaf or product(w.cumulant, g) != w.cumulant:
-                break
-            v = w
-            path.append(v)
-        w = v.children[-1]
-        cv = v.cumulant
-        if is_transitive(cv):
-            if w.is_leaf:
-                # Case 1: absorb the leaf directly when g equals the local
-                # cumulant, otherwise open a fresh segment below v.
-                if g == cv:
-                    v.children.append(leaf)
-                else:
-                    z = ParseNode(INTERNAL, children=[leaf], cumulant=g)
-                    v.children.append(z)
-            else:
-                # Case 2: the leaf closes the current segment when it
-                # completes c_v; otherwise the segment grows a new spine node.
-                if product(w.cumulant, g) == cv:
-                    v.children.append(leaf)
-                else:
-                    z = ParseNode(
-                        INTERNAL, children=[w, leaf], cumulant=product(w.cumulant, g)
-                    )
-                    v.children[-1] = z
-        else:
-            h = transitive_front(cv)
-            if w.is_leaf:
-                # Case 3: start the trailing segment under a special node
-                # annotated with tf(c_v).
-                z_inner = ParseNode(INTERNAL, children=[leaf], cumulant=g)
-                z = ParseNode(SPECIAL, annotation=h, children=[z_inner], cumulant=g)
-                v.children.append(z)
-            else:
-                # Case 4: regrow the trailing segment under a fresh special
-                # node; the displaced subtree keeps absorbing below tf(c_v).
+        segment, c = [], g
+        while not path[-1].children[-1].is_leaf:
+            v, w = path[-1], path[-1].children[-1]
+            if w.cumulant != v.cumulant:
                 cw_g = product(w.cumulant, g)
-                assert ordering_leq(cw_g, h) and h != cv, (
+                if cw_g != w.cumulant:
+                    segment, c = [w], cw_g
+                    break
+            path.append(w)
+        v = path[-1]
+        cv = v.cumulant
+        transitive = is_transitive(cv)
+        if transitive and c == cv:
+            v.children.append(leaf)
+        else:
+            z = ParseNode(INTERNAL, children=segment + [leaf], cumulant=c)
+            if not transitive:
+                # The displaced segment keeps absorbing below tf(c_v).
+                h = transitive_front(cv)
+                assert ordering_leq(c, h) and h != cv, (
                     "trailing segment escaped the transitive front"
                 )
-                z_inner = ParseNode(INTERNAL, children=[w, leaf], cumulant=cw_g)
-                z = ParseNode(SPECIAL, annotation=h, children=[z_inner], cumulant=cw_g)
-                v.children[-1] = z
-        new_child = v.children[-1]
-        v.height = max(v.height, new_child.height + 1)
-        for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
-            parent.height = max(parent.height, child.height + 1)
+                z = ParseNode(SPECIAL, annotation=h, children=[z], cumulant=c)
+            v.children[len(v.children) - len(segment):] = [z]
+        child = v.children[-1]
+        for node in reversed(path):
+            node.height = max(node.height, child.height + 1)
+            child = node
 
     def copy(self):
         t = ParseTree(self.n)

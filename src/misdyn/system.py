@@ -500,7 +500,10 @@ def orbit(system, x0, horizon, mode="capped", bit_cap=DEFAULT_BIT_CAP, dyadic_bi
 
 
 def _rows_of(m):
-    return m.rows if hasattr(m, "rows") else as_fraction_matrix(m)
+    rows = m.rows if hasattr(m, "rows") else as_fraction_matrix(m)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return rows
 
 
 def coefficient_of_ergodicity(m):

@@ -8,6 +8,7 @@ the fast paths is meaningful.
 from fractions import Fraction
 
 from misdyn import digraph as dg
+from misdyn.parsing import INTERNAL, LEAF, SPECIAL, ParseNode, ParseTree, depth_bound
 from misdyn.system import Cell, Hyperplane, MISystem, SimplexVector, StochasticMatrix
 
 
@@ -249,6 +250,83 @@ def reference_tree_equal(a, b):
     if a.root is None or b.root is None:
         return a.root is b.root
     return equal(a.root, b.root)
+
+
+def reference_parse(seq, n=0):
+    """Parse with reference_append: the trees ParseTree.append must build."""
+    tree = ParseTree(n)
+    for g in seq:
+        reference_append(tree, g)
+    return tree
+
+
+def reference_append(tree, g):
+    """Four-case append: the stuck cases split on whether c_v is
+    transitive and whether v's last child is a leaf, and recompute the
+    segment product each needs."""
+    if tree.root is None:
+        if tree.n and g.n != tree.n:
+            raise ValueError(f"vertex count mismatch: {g.n} != {tree.n}")
+        tree.n = g.n
+        leaf = ParseNode(LEAF, graph_index=tree.length, graph=g, cumulant=g)
+        tree.root = ParseNode(INTERNAL, children=[leaf], cumulant=g)
+        tree.length = 1
+        return tree
+    if g.n != tree.n:
+        raise ValueError(f"vertex count mismatch: {g.n} != {tree.n}")
+    grown = dg.product(tree.root.cumulant, g)
+    leaf = ParseNode(LEAF, graph_index=tree.length, graph=g, cumulant=g)
+    if grown != tree.root.cumulant:
+        tree.root = ParseNode(INTERNAL, children=[tree.root, leaf], cumulant=grown)
+    else:
+        _reference_append_stuck(tree, leaf, g)
+    tree.length += 1
+    assert tree.depth() <= depth_bound(tree.n)
+    return tree
+
+
+def _reference_append_stuck(tree, leaf, g):
+    path = [tree.root]
+    v = tree.root
+    while True:
+        w = v.children[-1]
+        if w.is_leaf or dg.product(w.cumulant, g) != w.cumulant:
+            break
+        v = w
+        path.append(v)
+    w = v.children[-1]
+    cv = v.cumulant
+    if dg.is_transitive(cv):
+        if w.is_leaf:
+            # Case 1.
+            if g == cv:
+                v.children.append(leaf)
+            else:
+                v.children.append(ParseNode(INTERNAL, children=[leaf], cumulant=g))
+        else:
+            # Case 2.
+            if dg.product(w.cumulant, g) == cv:
+                v.children.append(leaf)
+            else:
+                v.children[-1] = ParseNode(
+                    INTERNAL, children=[w, leaf], cumulant=dg.product(w.cumulant, g)
+                )
+    else:
+        h = dg.transitive_front(cv)
+        if w.is_leaf:
+            # Case 3.
+            z_inner = ParseNode(INTERNAL, children=[leaf], cumulant=g)
+            v.children.append(ParseNode(SPECIAL, annotation=h, children=[z_inner], cumulant=g))
+        else:
+            # Case 4.
+            cw_g = dg.product(w.cumulant, g)
+            assert dg.ordering_leq(cw_g, h) and h != cv
+            z_inner = ParseNode(INTERNAL, children=[w, leaf], cumulant=cw_g)
+            v.children[-1] = ParseNode(SPECIAL, annotation=h, children=[z_inner], cumulant=cw_g)
+    new_child = v.children[-1]
+    v.height = max(v.height, new_child.height + 1)
+    for parent, child in zip(reversed(path[:-1]), reversed(path[1:])):
+        parent.height = max(parent.height, child.height + 1)
 
 
 def quadratic_threshold_step(a, b, xi, threshold, x):

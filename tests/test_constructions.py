@@ -138,6 +138,23 @@ def test_clock_level2_outer_accumulator_strictly_grows():
     )
 
 
+def test_clock_level3_transient_transfer_clears_the_outer_detector():
+    # Gadget 2 starts one halving in and first transfers when gadget 1
+    # first resets, p = 28 steps in, so its x jumps to m * (1 - 2^-29).
+    # A gadget-3 threshold placed there froze the orbit on a hyperplane.
+    system, x0 = build_clock(3)
+    spec = clock_spec(3)
+    m, xi = spec.group_mass, spec.gadget_start(2)
+    tr = orbit(system, x0, 400, mode="exact")
+    assert ON_DISCONTINUITY not in tr.itinerary and len(tr.states) == 401
+    first = next(b[xi] for a, b in zip(tr.states, tr.states[1:]) if b[xi] > a[xi])
+    assert first == m * (1 - F(1, 2**29))
+    # Hyperplanes: base, then ring and accumulator test per gadget.
+    threshold = 1 / system.hyperplanes[5].normal[xi]
+    assert first < threshold < m
+    assert measure_clock_period(3, 400).status != EXACT_PERIODIC
+
+
 def test_clock_rejects_oversized_and_unmeasurable_levels():
     with pytest.raises(ClockBuildError):
         clock_spec(21)  # 2 + 63 states

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misdyn import digraph as dg
+from misdyn import parsing
 from misdyn.cli import main
 from misdyn.digraph import Digraph
 from misdyn.parsing import (
@@ -22,6 +23,7 @@ from helpers import (
     oracle_scc,
     random_digraph,
     reference_dump,
+    reference_parse,
     reference_tree_equal,
     single_edge_staircase_sequence,
     undirected_clique_growth_sequence,
@@ -176,6 +178,51 @@ def test_parser_invariants(n, length, p, seed):
         assert snap == parse(seq[:k])
     # Backward parsing folds the sequence right to left.
     assert backward_parse(seq).cumulant == dg.cumulant(seq[::-1])
+
+
+@st.composite
+def digraph_sequences(draw):
+    n = draw(st.integers(1, 12))
+    length = draw(st.integers(0, 30))
+    p = draw(st.floats(0, 0.6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return [random_digraph(rng, n, p) for _ in range(length)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=digraph_sequences())
+@example(seq=bipartite_single_edge_sequence(6))
+@example(seq=single_edge_staircase_sequence(16))
+def test_append_matches_the_four_case_reference(seq):
+    tree, reference = parse(seq), reference_parse(seq)
+    assert tree == reference and tree.dump() == reference.dump()
+    assert [(v.height, v.cumulant) for v, _ in tree.preorder()] == [
+        (v.height, v.cumulant) for v, _ in reference.preorder()
+    ]
+
+
+def test_no_append_multiplies_the_same_pair_twice(monkeypatch):
+    calls = []
+
+    def counted(g, h):
+        calls.append((g, h))
+        return dg.product(g, h)
+
+    monkeypatch.setattr(parsing, "product", counted)
+    rng = random.Random(33)
+    seqs = [random_sequence(rng) for _ in range(100)]
+    seqs += [bipartite_single_edge_sequence(5), _cycle_then_identity_sequence()]
+    stuck = 0
+    for seq in seqs:
+        tree = ParseTree()
+        for g in seq:
+            calls.clear()
+            cumulant = tree.cumulant
+            tree.append(g)
+            assert len(calls) == len(set(calls)), "an append repeated a product"
+            stuck += cumulant is not None and tree.cumulant == cumulant
+    # The descent only runs on stuck appends, so they must be common.
+    assert stuck > 500
 
 
 def test_cumulant_caches_consistent():
@@ -549,14 +596,14 @@ def test_copy_equality_and_dump_match_recursive_references(n, length, p, seed):
         assert (other == tree) == reference_tree_equal(other, tree)
 
 
-def _cycle_then_identity():
+def _cycle_then_identity_sequence():
     # The stalled identity append opens a special node (see above).
     edges = ({(0, 1)}, {(1, 2)}, {(2, 0)}, set())
-    return parse([graph_from_edge_set(3, e) for e in edges])
+    return [graph_from_edge_set(3, e) for e in edges]
 
 
 def test_trees_differing_in_one_annotation_index_or_child_count_are_unequal():
-    tree = _cycle_then_identity()
+    tree = parse(_cycle_then_identity_sequence())
     twin = tree.copy()
     special = next(v for v, _ in twin.preorder() if v.is_special)
     assert special.annotation != Digraph.complete(3)

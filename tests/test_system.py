@@ -352,6 +352,24 @@ def test_stationary_distribution_needs_one_closed_class():
         stationary_distribution(p)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[F(1, 2), F(1, 2), 0], [0, 1, 0]],
+        [[F(1, 2), F(1, 2)], [0, 1], [1, 0]],
+        [[F(1, 2), F(1, 2)], [1]],
+    ],
+    ids=["wide", "tall", "ragged"],
+)
+@pytest.mark.parametrize(
+    "solve",
+    [coefficient_of_ergodicity, is_primitive, stationary_distribution, perron_decomposition],
+)
+def test_raw_rows_must_be_square(solve, rows):
+    with pytest.raises(ValueError, match="matrix is not square"):
+        solve(rows)
+
+
 # ---------------------------------------------------------------------------
 # Kronecker lift
 
