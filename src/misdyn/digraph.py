@@ -19,8 +19,6 @@ whatever the density.
 import functools
 import warnings
 
-MAX_DENSE_N = 64
-
 
 class SelfLoopError(ValueError):
     """A vertex is missing its self-loop under strict construction."""
@@ -36,8 +34,8 @@ class Digraph:
     __slots__ = ("n", "bits", "_rows")
 
     def __init__(self, n, rows):
-        if not 1 <= n <= MAX_DENSE_N:
-            raise ValueError(f"vertex count {n} outside dense range 1..{MAX_DENSE_N}")
+        if n < 1:
+            raise ValueError(f"vertex count {n} must be at least 1")
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError("row count does not match vertex count")
@@ -291,10 +289,8 @@ def read_sequence_text(text):
             raise SequenceFormatError(f"bad vertex count in {line!r}", lineno) from None
         if n is not None and k != n:
             raise SequenceFormatError(f"vertex count changed from {n} to {k}", lineno)
-        if not 1 <= k <= MAX_DENSE_N:
-            raise SequenceFormatError(
-                f"vertex count {k} outside dense range 1..{MAX_DENSE_N}", lineno
-            )
+        if k < 1:
+            raise SequenceFormatError(f"vertex count {k} must be at least 1", lineno)
         n = k
         rows = [1 << i for i in range(n)]
         for lineno, line in lines:  # the graph's edges, up to a blank line

@@ -181,9 +181,6 @@ class ParseTree:
         # index and special nodes their annotation.
         return [(v.kind, v.graph_index, v.annotation, len(v.children)) for v, _ in self.preorder()]
 
-    def __hash__(self):
-        return hash((self.n, self.length))
-
     def preorder(self):
         """Yield (node, parent_index) pairs; parents precede children."""
         if self.root is None:

@@ -104,8 +104,8 @@ class StochasticMatrix:
         self.rows = rows
 
     def support(self):
-        """Digraph view of the positive entries, at any n: it is built
-        like a kernel result, without the public constructors' 64-vertex cap.
+        """Digraph view of the positive entries, built like a kernel
+        result straight from the flat support bits.
 
         Self-loops are forced into the view (the digraph type requires
         them); that never changes reachability or strong connectivity.
@@ -162,22 +162,15 @@ class MISystem:
         self.cells = tuple(cells)
         self.delta = Fraction(delta)
         self.omega = Fraction(omega)
-        if not 0 < self.omega < Fraction(1, 2):
-            raise ValueError("omega must lie strictly between 0 and 1/2")
-        if abs(self.delta) > self.omega:
-            raise ValueError("delta outside [-omega, omega]")
+        _check_omega(self.omega)
+        _check_delta(self.delta, self.omega)
         for h in self.hyperplanes:
             if len(h.normal) != n:
                 raise ValueError("hyperplane dimension mismatch")
         if not self.cells:
             raise ValueError("system needs at least one cell")
         for cell in self.cells:
-            if len(cell.pattern) != len(self.hyperplanes):
-                raise ValueError(
-                    f"pattern {cell.pattern!r} does not cover {len(self.hyperplanes)} hyperplanes"
-                )
-            if any(ch not in "+-*" for ch in cell.pattern):
-                raise ValueError(f"bad pattern character in {cell.pattern!r}")
+            _check_pattern(cell.pattern, len(self.hyperplanes))
             if cell.matrix.n != n:
                 raise ValueError("cell matrix dimension mismatch")
 
@@ -193,6 +186,23 @@ class MISystem:
             and self.delta == other.delta
             and self.omega == other.omega
         )
+
+
+def _check_omega(omega):
+    if not 0 < omega < Fraction(1, 2):
+        raise ValueError("omega must lie strictly between 0 and 1/2")
+
+
+def _check_delta(delta, omega):
+    if abs(delta) > omega:
+        raise ValueError("delta outside [-omega, omega]")
+
+
+def _check_pattern(pattern, hyperplane_count):
+    if len(pattern) != hyperplane_count:
+        raise ValueError(f"pattern {pattern!r} does not cover {hyperplane_count} hyperplanes")
+    if any(ch not in "+-*" for ch in pattern):
+        raise ValueError(f"bad pattern character in {pattern!r}")
 
 
 def locate_cell(system, x):
@@ -659,11 +669,16 @@ def _read_matrix(n, tokens, lines, opened):
     raise ConfigFormatError("matrix entries missing", opened)
 
 
-def _read_n(line, n):
-    """State count of an `n=` line, which must be the first `n=` line
-    (n is the count read so far, or None) and at least one."""
-    if n is not None:
-        raise ValueError("n= given twice")
+def _once(given, key, lineno):
+    """Note that key was given on line lineno; a key given twice is
+    refused."""
+    if key in given:
+        raise ValueError(f"{key} given twice")
+    given[key] = lineno
+
+
+def _read_n(line):
+    """State count of an `n=` line, which must be at least one."""
     n = int(line[2:])
     if n < 1:
         raise ValueError(f"state count {n} must be at least 1")
@@ -673,30 +688,40 @@ def _read_n(line, n):
 def read_mis_config(text):
     """Parse the system config format.
 
-    Lines: n=<k> (once), omega=<p/q>, delta=<p/q>, one
-    `hyperplane: a_1 .. a_n` per discontinuity, then
+    Lines: n=<k>, omega=<p/q>, delta=<p/q> and unchecked=<0|1>, each
+    at most once, one `hyperplane: a_1 .. a_n` per discontinuity, then
     `cell: <pattern> matrix: <n*n rationals>` entries (the matrix may
     continue on following lines). A lone `.` stands for the empty
     pattern of a hyperplane-free system. Matrices must carry strictly
     positive diagonals unless the file opts out with `unchecked=1`
     (needed by constructions whose reset rows empty a vertex). Errors
-    name the line they occur on, except a missing `n=`.
+    name the line they occur on, except a missing `n=`; a delta outside
+    the final omega window is reported on delta's line.
     """
-    n = omega = delta = None
-    unchecked = False
+    n = None
+    omega, delta, unchecked = Fraction(1, 4), Fraction(0), False  # MISystem's defaults
+    given = {}
     hyperplanes = []
     cells = []
     lines = _config_lines(text)
     for lineno, line in lines:
         try:
             if line.startswith("n="):
-                n = _read_n(line, n)
+                _once(given, "n=", lineno)
+                n = _read_n(line)
             elif line.startswith("omega="):
+                _once(given, "omega=", lineno)
                 omega = parse_rational(line[6:])
+                _check_omega(omega)
             elif line.startswith("delta="):
+                _once(given, "delta=", lineno)
                 delta = parse_rational(line[6:])
             elif line.startswith("unchecked="):
-                unchecked = line[10:].strip() == "1"
+                _once(given, "unchecked=", lineno)
+                flag = line[10:].strip()
+                if flag not in ("0", "1"):
+                    raise ValueError(f"unchecked= must be 0 or 1, got {flag!r}")
+                unchecked = flag == "1"
             elif line.startswith("hyperplane:"):
                 if n is None:
                     raise ValueError("hyperplane before n=")
@@ -711,10 +736,7 @@ def read_mis_config(text):
                 if not rest:
                     raise ValueError("cell line needs a sign pattern")
                 pattern = "" if rest[0] == "." else rest[0]
-                if len(pattern) != len(hyperplanes):
-                    raise ValueError(
-                        f"pattern {pattern!r} does not cover {len(hyperplanes)} hyperplanes"
-                    )
+                _check_pattern(pattern, len(hyperplanes))
                 if len(rest) < 2 or rest[1] != "matrix:":
                     raise ValueError("expected 'matrix:' after the pattern")
                 rows = _read_matrix(n, rest[2:], lines, lineno)
@@ -732,34 +754,38 @@ def read_mis_config(text):
             raise ConfigFormatError(str(exc), lineno) from exc
     if n is None:
         raise ValueError("missing n=")
-    kwargs = {}
-    if omega is not None:
-        kwargs["omega"] = omega
-    if delta is not None:
-        kwargs["delta"] = delta
-    return MISystem(n, hyperplanes, cells, **kwargs)
+    try:
+        _check_delta(delta, omega)
+    except ValueError as exc:
+        raise ConfigFormatError(str(exc), given["delta="]) from exc
+    return MISystem(n, hyperplanes, cells, delta=delta, omega=omega)
 
 
 def read_lift_config(text):
     """Parse a variance-threshold pair for kronecker_variance_lift.
 
-    Lines: n=<k> (once), `xi: <n rationals>`, `threshold: <p/q>`, then
-    `A: <n*n rationals>` and `B: <n*n rationals>` (each matrix may
-    continue on following lines). Returns (A, B, xi, threshold).
+    Lines: n=<k>, `xi: <n rationals>`, `threshold: <p/q>`, then
+    `A: <n*n rationals>` and `B: <n*n rationals>`, each exactly once
+    (each matrix may continue on following lines). Returns
+    (A, B, xi, threshold).
     """
-    n = xi = threshold = xi_line = None
+    n = xi = threshold = None
+    given = {}
     matrices = {}
     lines = _config_lines(text)
     for lineno, line in lines:
         try:
             if line.startswith("n="):
-                n = _read_n(line, n)
+                _once(given, "n=", lineno)
+                n = _read_n(line)
             elif line.startswith("xi:"):
+                _once(given, "xi:", lineno)
                 xi = [parse_rational(tok) for tok in line[3:].split()]
-                xi_line = lineno
             elif line.startswith("threshold:"):
+                _once(given, "threshold:", lineno)
                 threshold = parse_rational(line[len("threshold:"):].strip())
             elif line.startswith(("A:", "B:")):
+                _once(given, line[:2], lineno)
                 if n is None:
                     raise ValueError("matrix before n=")
                 rows = _read_matrix(n, line[2:].split(), lines, lineno)
@@ -770,10 +796,10 @@ def read_lift_config(text):
             raise
         except ValueError as exc:
             raise ConfigFormatError(str(exc), lineno) from exc
-    if n is None or xi is None or threshold is None or set(matrices) != {"A", "B"}:
+    if set(given) != {"n=", "xi:", "threshold:", "A:", "B:"}:
         raise ValueError("lift input needs n=, xi:, threshold:, A: and B:")
     if len(xi) != n:
-        raise ConfigFormatError(f"xi has {len(xi)} entries for n={n}", xi_line)
+        raise ConfigFormatError(f"xi has {len(xi)} entries for n={n}", given["xi:"])
     return matrices["A"], matrices["B"], xi, threshold
 
 

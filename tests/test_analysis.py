@@ -338,8 +338,8 @@ def cycle_matrix(n, blocks=None, loop=F(1, 2)):
 
 
 def test_support_checks_have_no_state_limit():
-    # Past the 64-vertex cap of the public digraph constructors: a
-    # 65-state cycle, and 81-state Kronecker lifts of 9-state pairs.
+    # Support digraphs past 64 vertices: a 65-state cycle, and 81-state
+    # Kronecker lifts of 9-state pairs.
     m = cycle_matrix(65)
     assert is_primitive(m)
     pi, q = perron_decomposition(m)
@@ -352,6 +352,9 @@ def test_support_checks_have_no_state_limit():
     support = cycle.support()
     assert all(support.has_edge(i, (i + 1) % 65) for i in range(65))
     assert support.edge_count() == 65 and support.edge_count(include_loops=True) == 130
+    # The public constructor and the text format take what the kernel built.
+    assert dg.Digraph(support.n, support.rows) == support
+    assert dg.read_sequence_text(dg.write_sequence_text([support])) == [support]
 
     xi = range(9)
     lifted = kronecker_variance_lift(cycle_matrix(9), cycle_matrix(9, loop=F(1, 3)), xi, 1)

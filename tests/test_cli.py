@@ -51,6 +51,13 @@ def test_parse_command_rejects_bad_header(tmp_path, capsys):
     assert "n=" in capsys.readouterr().err
 
 
+def test_parse_command_reads_65_vertices(tmp_path, capsys):
+    seq = tmp_path / "n65.txt"
+    seq.write_text("n=65\n1 2\n65 1\n")
+    assert main(["parse", str(seq)]) == 0
+    assert capsys.readouterr().out.endswith("leaves=1 depth=1\n")
+
+
 def test_simulate_constant_config(tmp_path, capsys):
     cfg = tmp_path / "sys.txt"
     cfg.write_text(CONSTANT_CONFIG)
@@ -321,7 +328,6 @@ INPUT_FILES = {
     ),
     "lift_unrecognized": "n=2\nxi: 0 1\nC: 1 0 0 1\n",
     "lift_incomplete": "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\n",
-    "seq_n65": "n=65\n1 2\n",
     "seq_n0": "n=0\n",
     "lift_n0": "n=0\nxi:\nthreshold: 1\nA:\nB:\n",
     "cfg_n0": "# no states\nn=0\ncell: . matrix:\n",
@@ -332,6 +338,15 @@ INPUT_FILES = {
     "cfg_matrix_short": "n=2\ncell: . matrix:\n  1/2 1/2\n",
     "cfg_without_n": "omega=1/4\ndelta=0\n",
     "cfg_n_twice": "n=3\nn=2\ncell: . matrix: 1 0 0 1\n",
+    "cfg_bad_pattern": "n=1\nhyperplane: 2\ncell: x matrix: 1\n",
+    "cfg_omega_half": "n=1\nomega=1/2\ncell: . matrix: 1\n",
+    # delta=1/5 fits the default window [-1/4, 1/4] but not the final one.
+    "cfg_delta_past_omega": "n=1\ndelta=1/5\nomega=1/8\ncell: . matrix: 1\n",
+    "cfg_omega_twice": "n=1\nomega=1/4\nomega=1/8\ncell: . matrix: 1\n",
+    "cfg_unchecked_yes": "n=1\nunchecked=yes\ncell: . matrix: 1\n",
+    "lift_threshold_twice": (
+        "n=2\nxi: 0 1\nthreshold: 1/10\nthreshold: 1/5\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n"
+    ),
     "lift_n_twice": "n=2\nxi: 0 1\nthreshold: 1/10\nA: 1/2 1/2 1/4 3/4\nn=1\nB: 1\n",
 }
 
@@ -352,8 +367,7 @@ INPUT_FILES = {
         (["lift", "{lift_not_stochastic}", "--out", "{out}"], "line 4: row 1 does not sum to 1"),
         (["lift", "{lift_xi_long}", "--out", "{out}"], "line 2: xi has 3 entries for n=2"),
         (["lift", "{lift_xi_before_n}", "--out", "{out}"], "line 1: xi has 3 entries for n=2"),
-        (["parse", "{seq_n65}"], "line 1: vertex count 65 outside dense range 1..64"),
-        (["parse", "{seq_n0}"], "line 1: vertex count 0 outside dense range 1..64"),
+        (["parse", "{seq_n0}"], "line 1: vertex count 0 must be at least 1"),
         (["lift", "{lift_n0}", "--out", "{out}"], "line 1: state count 0 must be at least 1"),
         (["simulate", "{cfg_n0}", "--x0", "1"], "line 2: state count 0 must be at least 1"),
         (
@@ -383,6 +397,15 @@ INPUT_FILES = {
         (["lift", "{lift_incomplete}", "--out", "{out}"],
          "lift input needs n=, xi:, threshold:, A: and B:"),
         (["simulate", "{cfg}", "--x0", "1,0", "--bit-cap", "0"], "bit cap 0 must be at least 1"),
+        (["simulate", "{cfg_bad_pattern}", "--x0", "1"], "line 3: bad pattern character in 'x'"),
+        (["simulate", "{cfg_omega_half}", "--x0", "1"],
+         "line 2: omega must lie strictly between 0 and 1/2"),
+        (["simulate", "{cfg_delta_past_omega}", "--x0", "1"],
+         "line 2: delta outside [-omega, omega]"),
+        (["simulate", "{cfg_omega_twice}", "--x0", "1"], "line 3: omega= given twice"),
+        (["simulate", "{cfg_unchecked_yes}", "--x0", "1"],
+         "line 2: unchecked= must be 0 or 1, got 'yes'"),
+        (["lift", "{lift_threshold_twice}", "--out", "{out}"], "line 4: threshold: given twice"),
         (["baker", "--out", "{out}", "--bit-cap", "-5"], "bit cap -5 must be at least 1"),
     ],
     ids=[
@@ -399,7 +422,6 @@ INPUT_FILES = {
         "lift-not-stochastic",
         "lift-xi-too-long",
         "lift-xi-before-n",
-        "parse-n-65",
         "parse-n-0",
         "lift-n-0",
         "simulate-n-0",
@@ -419,6 +441,12 @@ INPUT_FILES = {
         "lift-unrecognized-line",
         "lift-missing-keys",
         "simulate-bit-cap-0",
+        "config-bad-pattern-character",
+        "config-omega-half",
+        "config-delta-past-final-omega",
+        "config-omega-twice",
+        "config-unchecked-yes",
+        "lift-threshold-twice",
         "baker-bit-cap-negative",
     ],
 )

@@ -39,9 +39,11 @@ def test_from_edges_auto_adds_loops_with_warning():
         Digraph.from_edges(3, [(0, 1)], strict_self_loops=True)
 
 
-def test_dense_cap():
-    with pytest.raises(ValueError):
-        Digraph.identity(65)
+def test_vertex_count_must_be_at_least_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"vertex count {n} must be at least 1"):
+            Digraph(n, ())
+    assert Digraph.identity(65).edge_count() == 0
 
 
 def test_product_examples():
@@ -231,7 +233,7 @@ def test_scc_partition_matches_oracle():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(1, dg.MAX_DENSE_N),
+    n=st.integers(1, 64),
     p=st.floats(0, 1),
     q=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
@@ -241,6 +243,9 @@ def test_scc_partition_matches_oracle():
 @example(n=63, p=0.05, q=1.0, seed=2)
 @example(n=64, p=1.0, q=0.02, seed=3)
 @example(n=64, p=0.0, q=0.1, seed=4)
+@example(n=65, p=0.05, q=1.0, seed=5)
+@example(n=127, p=0.02, q=0.3, seed=6)
+@example(n=128, p=0.0, q=0.1, seed=7)
 def test_kernels_match_edge_set_oracles_at_every_vertex_count(n, p, q, seed):
     # The flat layout's row stride is n, so every vertex count is its own case.
     rng = random.Random(seed)
@@ -276,7 +281,7 @@ def test_kernels_match_edge_set_oracles_at_every_vertex_count(n, p, q, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(1, dg.MAX_DENSE_N),
+    n=st.integers(1, 64),
     length=st.integers(1, 6),
     p=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
@@ -320,7 +325,7 @@ def test_sequence_text_blank_lines_and_ends():
         ("\n\nn=x\n", 3, "bad vertex count in 'n=x'"),
         ("n=3\n1 2\n\n\nn=4\n1 2\n", 5, "vertex count changed from 3 to 4"),
         ("n=3\n\nn=0\n", 3, "vertex count changed from 3 to 0"),
-        ("\nn=0\n", 2, "vertex count 0 outside dense range 1..64"),
+        ("\nn=0\n", 2, "vertex count 0 must be at least 1"),
         ("n=3\n1 2\n2 5\n", 3, "edge (2, 5) outside 1..3"),
         ("n=3\n1 2 3\n", 2, "expected 'u v' edge, got '1 2 3'"),
         ("n=3\n1 b\n", 2, "non-integer edge '1 b'"),

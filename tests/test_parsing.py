@@ -651,6 +651,14 @@ def test_appending_to_a_copy_leaves_the_original():
         assert twin == parse(seq + extra)
 
 
+def test_trees_are_unhashable():
+    # A tree grows in place, so a hash taken before an append would go
+    # stale; like a list, a tree compared by value has none.
+    tree = parse(_cycle_then_identity_sequence())
+    with pytest.raises(TypeError):
+        hash(tree)
+
+
 def test_copy_equality_and_dump_at_quadratic_depth():
     for side in (24, 32):
         tree = parse(bipartite_single_edge_sequence(side))
