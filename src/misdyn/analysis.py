@@ -42,24 +42,6 @@ def block_product(system, cells):
     return tuple(tuple(Fraction(v, e) for v in row) for row in k)
 
 
-def _scan_asymptotic(cells, itinerary, sustained, sigma_cap, horizon):
-    """Asymptotic verdict for the smallest block length sigma whose last
-    block repeats `sustained` times at the end of the itinerary and
-    whose product contracts; None when a discontinuity comes first or
-    nothing passes. cells is the integer form of the system (_IntCells)."""
-    t = len(itinerary)
-    for sigma in range(1, min(t // sustained, sigma_cap) + 1):
-        if itinerary[t - sigma] is ON_DISCONTINUITY:
-            return None
-        start = t - sustained * sigma
-        if itinerary[start : t - sigma] != itinerary[start + sigma : t]:
-            continue
-        tau = cells.tau(itinerary[t - sigma :])
-        if tau < 1:
-            return PeriodVerdict(ASYMPTOTICALLY_PERIODIC, start, sigma, tau, horizon)
-    return None
-
-
 def detect_period(
     system,
     x0,
@@ -76,22 +58,16 @@ def detect_period(
     Exact periodicity means a state recurs exactly (rational equality);
     for a deterministic map the first recurrence pins both the transient
     and the minimal period. Otherwise the itinerary is scanned for a
-    sustained repeating cell block whose matrix product contracts
-    (tau < 1), and the smallest such block length is reported as
-    asymptotically periodic. That verdict is heuristic: contraction
-    forces convergence only if the itinerary keeps repeating the block,
-    which is not checked. Anything else is unresolved at this horizon.
+    sustained repeating cell block of length at most sigma_cap whose
+    matrix product contracts (tau < 1), every scan_interval steps and
+    at the horizon, and the smallest such length is reported as
+    asymptotically periodic; sigma_cap=0 means exact recurrences only.
+    That verdict is heuristic: contraction forces convergence only if
+    the itinerary keeps repeating the block, which is not checked.
+    Anything else is unresolved at this horizon.
     """
     run = _mode_orbit(system, x0, horizon, mode, bit_cap)
-
-    def scan(t, itinerary):
-        # Every scan_interval steps, and once more at the horizon.
-        if (t + 1) % scan_interval == 0 or t + 1 == horizon:
-            return _scan_asymptotic(run.cells, itinerary, sustained, sigma_cap, horizon)
-        return None
-
-    states, itinerary, verdict = run.classify(horizon, scan)
-    verdict = verdict or PeriodVerdict(UNRESOLVED, horizon=horizon)
+    states, itinerary, verdict = run.classify(horizon, sustained, scan_interval, sigma_cap)
     if return_trace:
         return verdict, run.trace(states, itinerary, verdict)
     return verdict

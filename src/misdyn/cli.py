@@ -112,6 +112,8 @@ def cmd_sweep(args):
 
 
 def cmd_clock(args):
+    if args.trace_steps < 1:
+        raise ValueError("--trace-steps must be at least 1")
     verdict = constructions.measure_clock_period(args.levels, args.horizon)
     if args.trace:
         sys_, x0 = constructions.build_clock(args.levels)

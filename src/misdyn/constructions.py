@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import detect_period
-from .system import Cell, Hyperplane, MISystem, SimplexVector, StochasticMatrix
+from .system import EXACT_PERIODIC, Cell, Hyperplane, MISystem, SimplexVector, StochasticMatrix
 
 BASE_PERIOD = 4
 
@@ -94,8 +94,8 @@ def _measure_subsystem_periods(levels, inner_horizon):
     periods = [BASE_PERIOD]
     for s in range(1, levels - 1):
         system, x0 = build_clock(s, inner_horizon=inner_horizon)
-        verdict = detect_period(system, x0, inner_horizon, scan_interval=1 << 30)
-        if verdict.status != "exact-periodic":
+        verdict = detect_period(system, x0, inner_horizon, sigma_cap=0)
+        if verdict.status != EXACT_PERIODIC:
             raise ClockBuildError(
                 f"cannot place level-{s + 2} detector: the level-{s} period "
                 f"was not resolved within {inner_horizon} steps"
@@ -180,9 +180,11 @@ def build_clock(levels, inner_horizon=4096):
 
 
 def measure_clock_period(levels, horizon, **detect_kwargs):
-    """Period verdict for the stacked clock at the given horizon."""
+    """Period verdict for the stacked clock at the given horizon, by
+    exact recurrences only (sigma_cap=0, no scan at the horizon either)
+    unless detect_kwargs sets sigma_cap."""
     system, x0 = build_clock(levels)
-    detect_kwargs.setdefault("scan_interval", 1 << 30)  # exact repeats only
+    detect_kwargs.setdefault("sigma_cap", 0)
     return detect_period(system, x0, horizon, **detect_kwargs)
 
 

@@ -324,15 +324,16 @@ class _Orbit:
     """One run of the dynamics from x0 on the integer form of the system.
 
     steps() is the one stepping loop behind step, orbit, detect_period
-    and estimate_eta, and classify() the one recurrence loop behind
-    orbit and detect_period. With bit_cap set, a state with an entry of
+    and estimate_eta, and classify() the one classifier behind orbit
+    and detect_period. With bit_cap set, a state with an entry of
     more than bit_cap bits raises BitSizeExceeded; with dyadic_bits set,
     each state is rounded to that many bits, and inexact records whether
     a rounding changed a state.
     """
 
     def __init__(self, system, x0, bit_cap=None, dyadic_bits=None):
-        x = SimplexVector(x0)
+        # A SimplexVector was checked when it was built.
+        x = x0 if isinstance(x0, SimplexVector) else SimplexVector(x0)
         if len(x) != system.n:
             raise ValueError(
                 f"start vector has {len(x)} coordinates, the system has {system.n} states"
@@ -385,14 +386,21 @@ class _Orbit:
                 state = _int_state(rounded)
             yield t, cell, state
 
-    def classify(self, horizon, scan=None):
+    def classify(self, horizon, sustained=3, scan_interval=16, sigma_cap=0):
         """Run up to horizon steps and return (states, itinerary,
         verdict), states being the integer states from the start on.
 
-        The run stops at the first exact recurrence, with an exact
-        verdict, or at the first step t where scan(t, itinerary) returns
-        a verdict; verdict is None when neither happens.
+        The run stops at the first exact recurrence or, with sigma_cap
+        above 0, at the first asymptotic verdict of scan, which runs every
+        scan_interval steps and at the horizon; sigma_cap=0 means exact
+        recurrences only. Else the verdict is unresolved.
         """
+        if sustained < 1:
+            raise ValueError(f"sustained {sustained} must be at least 1")
+        if scan_interval < 1:
+            raise ValueError(f"scan_interval {scan_interval} must be at least 1")
+        if sigma_cap < 0:
+            raise ValueError(f"sigma_cap {sigma_cap} must be at least 0")
         states = [self.start_state]
         itinerary = []
         first_seen = {self.start_state: 0}  # state -> index of its first visit
@@ -405,11 +413,28 @@ class _Orbit:
                 tau = None if ON_DISCONTINUITY in block else self.cells.tau(block)
                 verdict = PeriodVerdict(EXACT_PERIODIC, t0, t + 1 - t0, tau, horizon)
                 return states, itinerary, verdict
-            if scan is not None:
-                verdict = scan(t, itinerary)
+            if sigma_cap and ((t + 1) % scan_interval == 0 or t + 1 == horizon):
+                verdict = self.scan(itinerary, sustained, sigma_cap, horizon)
                 if verdict is not None:
                     return states, itinerary, verdict
-        return states, itinerary, None
+        return states, itinerary, PeriodVerdict(UNRESOLVED, horizon=horizon)
+
+    def scan(self, itinerary, sustained, sigma_cap, horizon):
+        """Asymptotic verdict for the smallest block length sigma, at
+        most sigma_cap, whose last block repeats `sustained` times at the
+        end of the itinerary and whose product contracts; None when a
+        discontinuity comes first or nothing passes."""
+        t = len(itinerary)
+        for sigma in range(1, min(t // sustained, sigma_cap) + 1):
+            if itinerary[t - sigma] is ON_DISCONTINUITY:
+                return None
+            start = t - sustained * sigma
+            if itinerary[start : t - sigma] != itinerary[start + sigma : t]:
+                continue
+            tau = self.cells.tau(itinerary[t - sigma :])
+            if tau < 1:
+                return PeriodVerdict(ASYMPTOTICALLY_PERIODIC, start, sigma, tau, horizon)
+        return None
 
     def trace(self, states, itinerary, verdict):
         """OrbitTrace of a classify result. Its integer states are turned
@@ -500,13 +525,13 @@ def orbit(system, x0, horizon, mode="capped", bit_cap=DEFAULT_BIT_CAP, dyadic_bi
     """Iterate the system, recording states and the itinerary.
 
     Stops early when a state recurs exactly (the orbit is then periodic)
-    or on error. mode is one of 'exact' (unbounded rationals), 'capped'
-    (raise BitSizeExceeded past bit_cap) or 'dyadic' (round each state,
-    marking the trace inexact).
+    or on error: classify's sigma_cap=0, exact recurrences only, with
+    no scan at the horizon either. mode is one of 'exact' (unbounded
+    rationals), 'capped' (raise BitSizeExceeded past bit_cap) or
+    'dyadic' (round each state, marking the trace inexact).
     """
     run = _mode_orbit(system, x0, horizon, mode, bit_cap, dyadic_bits)
-    states, itinerary, verdict = run.classify(horizon)
-    return run.trace(states, itinerary, verdict or PeriodVerdict(UNRESOLVED, horizon=horizon))
+    return run.trace(*run.classify(horizon))
 
 
 def _rows_of(m):
@@ -695,14 +720,15 @@ def read_mis_config(text):
     pattern of a hyperplane-free system. Matrices must carry strictly
     positive diagonals unless the file opts out with `unchecked=1`
     (needed by constructions whose reset rows empty a vertex). Errors
-    name the line they occur on, except a missing `n=`; a delta outside
-    the final omega window is reported on delta's line.
+    name the line they occur on, except a missing `n=`. Delta and each
+    cell are checked after the last line, against the final omega,
+    hyperplanes and unchecked=, and reported on their own line.
     """
     n = None
     omega, delta, unchecked = Fraction(1, 4), Fraction(0), False  # MISystem's defaults
     given = {}
     hyperplanes = []
-    cells = []
+    cells = []  # (line number, Cell)
     lines = _config_lines(text)
     for lineno, line in lines:
         try:
@@ -736,16 +762,11 @@ def read_mis_config(text):
                 if not rest:
                     raise ValueError("cell line needs a sign pattern")
                 pattern = "" if rest[0] == "." else rest[0]
-                _check_pattern(pattern, len(hyperplanes))
                 if len(rest) < 2 or rest[1] != "matrix:":
                     raise ValueError("expected 'matrix:' after the pattern")
                 rows = _read_matrix(n, rest[2:], lines, lineno)
                 matrix = StochasticMatrix(rows, allow_zero_diagonal=True)
-                if not unchecked and not matrix.has_positive_diagonal():
-                    raise ValueError(
-                        "cell matrix has a zero diagonal entry (set unchecked=1 to allow)"
-                    )
-                cells.append(Cell(pattern, matrix))
+                cells.append((lineno, Cell(pattern, matrix)))
             else:
                 raise ValueError(f"unrecognized line {line!r}")
         except ConfigFormatError:
@@ -758,7 +779,16 @@ def read_mis_config(text):
         _check_delta(delta, omega)
     except ValueError as exc:
         raise ConfigFormatError(str(exc), given["delta="]) from exc
-    return MISystem(n, hyperplanes, cells, delta=delta, omega=omega)
+    for lineno, cell in cells:
+        try:
+            _check_pattern(cell.pattern, len(hyperplanes))
+            if not unchecked and not cell.matrix.has_positive_diagonal():
+                raise ValueError(
+                    "cell matrix has a zero diagonal entry (set unchecked=1 to allow)"
+                )
+        except ValueError as exc:
+            raise ConfigFormatError(str(exc), lineno) from exc
+    return MISystem(n, hyperplanes, [cell for _, cell in cells], delta=delta, omega=omega)
 
 
 def read_lift_config(text):

@@ -174,6 +174,21 @@ def test_detect_period_takes_exact_and_capped_modes_only(mode):
         detect_period(constant_system(s), SimplexVector((1, 0)), 10, mode=mode)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"sustained": 0}, "sustained"),
+        ({"sustained": -2}, "sustained"),
+        ({"scan_interval": 0}, "scan_interval"),
+        ({"sigma_cap": -1}, "sigma_cap"),
+    ],
+)
+def test_detect_period_refuses_bad_scan_parameters(kwargs, name):
+    s = StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
+    with pytest.raises(ValueError, match=f"{name} -?[0-9]+ must be at least"):
+        detect_period(constant_system(s), SimplexVector((1, 0)), 10, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Ergodic renormalizer
 

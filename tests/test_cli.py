@@ -106,6 +106,16 @@ def test_config_reader_still_rejects_zero_diagonal_without_optin():
         read_mis_config(bad)
 
 
+def test_unchecked_applies_to_the_cells_before_it(tmp_path, capsys):
+    cfg = tmp_path / "swap.txt"
+    cfg.write_text("n=2\ncell: . matrix: 0 1 1 0\nunchecked=1\n")
+    assert main(["simulate", str(cfg), "--x0", "1,0", "--horizon", "10"]) == 0
+    assert "verdict=exact-periodic transient=0 period=2" in capsys.readouterr().out
+    cfg.write_text("n=2\ncell: . matrix: 0 1 1 0\nunchecked=0\n")
+    assert main(["simulate", str(cfg), "--x0", "1,0"]) == 2
+    assert "line 2: cell matrix has a zero diagonal entry" in _one_error_line(capsys)
+
+
 def test_clock_command(capsys):
     code = main(["clock", "--levels", "0", "--horizon", "100"])
     assert code == 0
@@ -344,6 +354,7 @@ INPUT_FILES = {
     "cfg_delta_past_omega": "n=1\ndelta=1/5\nomega=1/8\ncell: . matrix: 1\n",
     "cfg_omega_twice": "n=1\nomega=1/4\nomega=1/8\ncell: . matrix: 1\n",
     "cfg_unchecked_yes": "n=1\nunchecked=yes\ncell: . matrix: 1\n",
+    "cfg_hyperplane_after_cell": "n=1\ncell: . matrix: 1\nhyperplane: 2\n",
     "lift_threshold_twice": (
         "n=2\nxi: 0 1\nthreshold: 1/10\nthreshold: 1/5\nA: 1/2 1/2 1/4 3/4\nB: 3/4 1/4 1/2 1/2\n"
     ),
@@ -407,6 +418,9 @@ INPUT_FILES = {
          "line 2: unchecked= must be 0 or 1, got 'yes'"),
         (["lift", "{lift_threshold_twice}", "--out", "{out}"], "line 4: threshold: given twice"),
         (["baker", "--out", "{out}", "--bit-cap", "-5"], "bit cap -5 must be at least 1"),
+        (["simulate", "{cfg_hyperplane_after_cell}", "--x0", "1"],
+         "line 2: pattern '' does not cover 1 hyperplanes"),
+        (["clock", "--trace", "{out}", "--trace-steps", "0"], "--trace-steps must be at least 1"),
     ],
     ids=[
         "simulate-horizon-0",
@@ -448,6 +462,8 @@ INPUT_FILES = {
         "config-unchecked-yes",
         "lift-threshold-twice",
         "baker-bit-cap-negative",
+        "config-hyperplane-after-cell",
+        "clock-trace-steps-0",
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, message):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from misdyn.analysis import EXACT_PERIODIC, detect_period
+from misdyn.analysis import EXACT_PERIODIC, UNRESOLVED, detect_period
 from misdyn.constructions import (
     BAKER_A,
     BAKER_B,
@@ -48,6 +48,13 @@ def test_clock_level0_period_four():
     verdict = measure_clock_period(0, 100)
     assert verdict.status == EXACT_PERIODIC
     assert verdict.transient == 0 and verdict.period == 4
+
+
+def test_clock_period_counts_exact_recurrences_only():
+    # Three steps are short of the period 4. The block scan would call
+    # the halving cell asymptotically periodic, but the clock's
+    # measurement takes exact recurrences only, at the horizon too.
+    assert measure_clock_period(0, 3).status == UNRESOLVED
 
 
 def test_clock_level0_states_halve_then_reset():

@@ -180,7 +180,7 @@ def test_dyadic_mode_matches_reference(case, bits):
     st.integers(1, 60),
     st.integers(1, 3),
     st.integers(1, 8),
-    st.integers(1, 64),
+    st.integers(0, 64),
 )
 def test_detect_period_matches_reference(case, horizon, sustained, scan_interval, sigma_cap):
     system, x0 = case
@@ -198,6 +198,8 @@ def test_detect_period_matches_reference(case, horizon, sustained, scan_interval
         else:
             block = trace.itinerary[-verdict.period :]
         assert verdict.tau_block == reference_tau(reference_block_product(system, block))
+    if sigma_cap == 0:  # exact recurrences only, as in orbit
+        assert verdict == orbit(system, x0, horizon, mode="exact").verdict
 
 
 @st.composite

@@ -163,6 +163,17 @@ def test_step_preserves_simplex_exactly():
         assert sum(y) == 1 and all(c >= 0 for c in y)
 
 
+def test_a_simplex_vector_start_is_kept_as_is():
+    # A SimplexVector was checked when it was built, so a run keeps it
+    # rather than building and summing it again.
+    s = StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]])
+    x0 = SimplexVector((F(1, 3), F(2, 3)))
+    assert orbit(constant_system(s), x0, 2).states[0] is x0
+    assert orbit(constant_system(s), (F(1, 3), F(2, 3)), 2).states[0] == x0
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        orbit(constant_system(s), (F(1, 2), F(1, 3)), 2)
+
+
 # ---------------------------------------------------------------------------
 # Orbits
 
