@@ -4,10 +4,10 @@ irreducibility structure, constancy certificates and delta sweeps.
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import digraph as dg
+from ._record import Record
 from .rational import (
     find_dependent_row,
     format_rational,
@@ -258,18 +258,22 @@ def property_u_certificate(matrices, theta, a):
     return tuple(u)
 
 
-@dataclass
-class SweepEntry:
-    delta: Fraction
-    x0_index: int
-    verdict: PeriodVerdict = None
-    error: str = None
+class SweepEntry(Record):
+    __slots__ = ("delta", "x0_index", "verdict", "error")
+
+    def __init__(self, delta, x0_index, verdict=None, error=None):
+        self.delta = delta
+        self.x0_index = x0_index
+        self.verdict = verdict
+        self.error = error
 
 
-@dataclass
-class SweepReport:
-    grid: list
-    entries: list
+class SweepReport(Record):
+    __slots__ = ("grid", "entries")
+
+    def __init__(self, grid, entries):
+        self.grid = grid
+        self.entries = entries
 
     def period_histogram(self):
         hist = {}

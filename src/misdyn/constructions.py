@@ -17,9 +17,9 @@ discontinuity, where the dynamics is the identity, and freeze the clock.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .analysis import detect_period
 from .system import EXACT_PERIODIC, Cell, Hyperplane, MISystem, SimplexVector, StochasticMatrix
 
@@ -42,16 +42,18 @@ class DegenerateCoordinate(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ClockSpec:
+class ClockSpec(FrozenRecord):
     """Layout of a stacked clock: the base pair occupies vertices 0..1,
     gadget k (1-based) the three vertices starting at gadget_start(k).
     Every group carries mass 1/(levels + 1)."""
 
-    levels: int
-    base_period: int
-    n: int
-    group_mass: Fraction
+    __slots__ = ("levels", "base_period", "n", "group_mass")
+
+    def __init__(self, levels, base_period, n, group_mass):
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "base_period", base_period)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "group_mass", group_mass)
 
     def gadget_start(self, k):
         return 2 + 3 * (k - 1)
@@ -61,12 +63,18 @@ class ClockSpec:
 
 
 def clock_spec(levels):
+    """Layout of a clock of 0 to 3 levels. A fourth level's detector
+    needs the level-2 clock's period, about 1.9e9 steps (z2 gains about
+    2.5e-9 per 28-step ring and resets past one half), which exact
+    stepping cannot reach, so 4 levels and more are refused here."""
     if levels < 0:
         raise ClockBuildError("levels must be nonnegative")
-    n = 2 + 3 * levels
-    if n > 64:
-        raise ClockBuildError(f"{levels} levels need {n} states, above the 64-state cap")
-    return ClockSpec(levels, BASE_PERIOD, n, Fraction(1, levels + 1))
+    if levels > 3:
+        raise ClockBuildError(
+            f"{levels} levels need the level-2 period (about 1.9e9 steps), "
+            "out of reach of exact stepping; at most 3 levels are buildable"
+        )
+    return ClockSpec(levels, BASE_PERIOD, 2 + 3 * levels, Fraction(1, levels + 1))
 
 
 def _block_diagonal(blocks, n):
@@ -108,9 +116,10 @@ def build_clock(levels, inner_horizon=4096):
     """Stacked clock system plus its initial distribution.
 
     The reset rows of the gadget matrices necessarily empty their
-    vertices, so the matrices carry zero diagonal entries. Levels whose
-    detector placement would require simulating an astronomically long
-    inner period raise ClockBuildError.
+    vertices, so the matrices carry zero diagonal entries. More than 3
+    levels (see clock_spec), or an inner_horizon too short for the
+    level-1 period that places the level-3 detector, raise
+    ClockBuildError.
     """
     spec = clock_spec(levels)
     n, m = spec.n, spec.group_mass

@@ -20,8 +20,7 @@ ancestor, are collapsed; their clique partitions then refine step by
 step, and decorate_topological extracts that refinement structure.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .digraph import (
     Digraph,
     cumulant,
@@ -249,8 +248,7 @@ def parse(seq, n=None):
     return tree
 
 
-@dataclass
-class Decomposition:
+class Decomposition(Record):
     """Top-level split of a sequence into minimal completing segments.
 
     segments[i] is the half-open index range of the i-th segment; for
@@ -260,10 +258,13 @@ class Decomposition:
     the (possibly empty) remainder.
     """
 
-    n: int
-    segments: list
-    terminators: list
-    total: Digraph
+    __slots__ = ("n", "segments", "terminators", "total")
+
+    def __init__(self, n, segments, terminators, total):
+        self.n = n
+        self.segments = segments
+        self.terminators = terminators
+        self.total = total
 
 
 def temporal_decompose(seq):
@@ -288,8 +289,7 @@ def temporal_decompose(seq):
     return Decomposition(total.n, segments, terminators, total)
 
 
-@dataclass
-class TopologicalDecoration:
+class TopologicalDecoration(Record):
     """Sketches per node plus the clique-refinement productions along
     every tree edge.
 
@@ -304,11 +304,14 @@ class TopologicalDecoration:
     production either.
     """
 
-    nodes: list
-    parents: list
-    sketches: list
-    effective: list
-    productions: list
+    __slots__ = ("nodes", "parents", "sketches", "effective", "productions")
+
+    def __init__(self, nodes, parents, sketches, effective, productions):
+        self.nodes = nodes
+        self.parents = parents
+        self.sketches = sketches
+        self.effective = effective
+        self.productions = productions
 
     def sketch_chain(self, index):
         """Nested chain of effective sketches from the root to a node."""

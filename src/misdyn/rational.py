@@ -4,30 +4,50 @@ Vectors are tuples of fractions.Fraction, matrices are tuples of row
 tuples. Nothing in this module touches floating point.
 """
 
+import math
+import re
 from fractions import Fraction
+
+# A token Fraction would read as [-]p or [-]p/q with ASCII digits only;
+# every other spelling goes to Fraction's own parser.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(token):
     """Parse 'p/q' or an integer literal into a Fraction."""
     try:
-        return Fraction(token)
+        plain = _PLAIN_RATIONAL.fullmatch(token) if type(token) is str else None
+        if plain is None:
+            return Fraction(token)
+        num, den = plain.groups()
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {token!r}") from exc
 
 
 def format_rational(q):
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
 
 
 def as_fraction_vector(values):
-    return tuple(Fraction(v) for v in values)
+    """values as a tuple of Fractions; entries that already are exactly
+    Fractions are kept as they are."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def as_fraction_matrix(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+    return tuple(as_fraction_vector(row) for row in rows)
+
+
+def _int_matrix(rows):
+    """(K, E) of a rational matrix: E the lcm of its entry denominators
+    and K = E * rows, the integer matrix."""
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
 
 
 def vec_dot(u, v):
@@ -53,12 +73,15 @@ def mat_inf_norm(m):
 
 
 def kron(a, b):
-    """Kronecker product with row-major pairing of indices."""
-    p, q = len(b), len(b[0])
+    """Kronecker product with row-major pairing of indices, multiplied on
+    the integer forms (K, E) so that each entry is one Fraction."""
+    ka, ea = _int_matrix(a)
+    kb, eb = _int_matrix(b)
+    e = ea * eb
     return tuple(
-        tuple(a[i][k] * b[j][l] for k in range(len(a[0])) for l in range(q))
-        for i in range(len(a))
-        for j in range(p)
+        tuple(Fraction(x * y, e) for x in row_a for y in row_b)
+        for row_a in ka
+        for row_b in kb
     )
 
 

@@ -13,12 +13,13 @@ precision (the trace is then flagged inexact).
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
 from . import digraph as dg
+from ._record import FrozenRecord, Record
 from .rational import (
+    _int_matrix,
     as_fraction_matrix,
     as_fraction_vector,
     format_rational,
@@ -62,15 +63,27 @@ class ConfigFormatError(ValueError):
         self.line = line
 
 
+def _check_simplex(values, negative, unsummed):
+    """Raise ValueError(negative) when one of values (Fractions) is
+    negative, else ValueError(unsummed) unless they sum to 1. One
+    integer pass: the numerators, scaled to the lcm of the
+    denominators, must sum to that lcm."""
+    scale = math.lcm(*(v.denominator for v in values))
+    total = 0
+    for v in values:
+        if v.numerator < 0:
+            raise ValueError(negative)
+        total += v.numerator * (scale // v.denominator)
+    if total != scale:
+        raise ValueError(unsummed)
+
+
 class SimplexVector(tuple):
     """Exact point of the standard simplex: nonnegative, sums to one."""
 
     def __new__(cls, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if any(c < 0 for c in coords):
-            raise ValueError("negative coordinate")
-        if sum(coords) != 1:
-            raise ValueError("coordinates do not sum to 1")
+        coords = as_fraction_vector(coords)
+        _check_simplex(coords, "negative coordinate", "coordinates do not sum to 1")
         return super().__new__(cls, coords)
 
     @property
@@ -94,10 +107,7 @@ class StochasticMatrix:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix is not square")
         for i, row in enumerate(rows):
-            if any(v < 0 for v in row):
-                raise ValueError(f"negative entry in row {i}")
-            if sum(row) != 1:
-                raise ValueError(f"row {i} does not sum to 1")
+            _check_simplex(row, f"negative entry in row {i}", f"row {i} does not sum to 1")
             if not allow_zero_diagonal and row[i] == 0:
                 raise ValueError(f"zero diagonal at row {i}")
         self.n = n
@@ -128,23 +138,31 @@ class StochasticMatrix:
         return f"StochasticMatrix({self.rows!r})"
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(FrozenRecord):
     """Discontinuity a.x = 1 + delta (delta supplied by the system)."""
 
-    normal: tuple
+    __slots__ = ("normal",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", as_fraction_vector(self.normal))
-        if all(v == 0 for v in self.normal):
+    def __init__(self, normal):
+        normal = as_fraction_vector(normal)
+        if all(v == 0 for v in normal):
             raise ValueError("hyperplane normal is zero")
+        object.__setattr__(self, "normal", normal)
 
 
-@dataclass(frozen=True)
-class Cell:
-    pattern: str
-    matrix: StochasticMatrix
-    label: str = field(default="", compare=False)
+class Cell(FrozenRecord):
+    """A sign pattern and the stochastic matrix applied in its region;
+    the label names the cell in output and is left out of ==."""
+
+    __slots__ = ("pattern", "matrix", "label")
+
+    def __init__(self, pattern, matrix, label=""):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "label", label)
+
+    def _key(self):
+        return self.pattern, self.matrix
 
 
 class MISystem:
@@ -217,17 +235,10 @@ def locate_cell(system, x):
 # A state x is held as one integer vector p over one shared denominator
 # D in lowest terms (x = p / D, gcd(D, *p) == 1, so the pair is unique
 # and equal states have equal pairs). Each cell matrix S is scaled once
-# to the integer matrix K = E * S, E the lcm of its entry denominators,
-# and each hyperplane test a.x vs 1 + delta becomes one integer
-# comparison of A.p against c * D. A step is then p -> p K over D * E,
-# reduced by one gcd.
-
-
-def _int_matrix(rows):
-    """(K, E) of a rational matrix: E the lcm of its entry denominators
-    and K = E * rows, the integer matrix."""
-    scale = math.lcm(*(v.denominator for row in rows for v in row))
-    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
+# to the integer matrix K = E * S (rational._int_matrix), E the lcm of
+# its entry denominators, and each hyperplane test a.x vs 1 + delta
+# becomes one integer comparison of A.p against c * D. A step is then
+# p -> p K over D * E, reduced by one gcd.
 
 
 def _int_tau(k, e):
@@ -461,8 +472,7 @@ ASYMPTOTICALLY_PERIODIC = "asymptotically-periodic"
 UNRESOLVED = "unresolved"
 
 
-@dataclass
-class PeriodVerdict:
+class PeriodVerdict(Record):
     """Outcome of period detection, from orbit (exact or unresolved only)
     or detect_period.
 
@@ -475,19 +485,24 @@ class PeriodVerdict:
     geometric rate; that the itinerary keeps repeating is not checked.
     """
 
-    status: str
-    transient: int = None
-    period: int = None
-    tau_block: Fraction = None
-    horizon: int = 0
+    __slots__ = ("status", "transient", "period", "tau_block", "horizon")
+
+    def __init__(self, status, transient=None, period=None, tau_block=None, horizon=0):
+        self.status = status
+        self.transient = transient
+        self.period = period
+        self.tau_block = tau_block
+        self.horizon = horizon
 
 
-@dataclass
-class OrbitTrace:
-    states: list
-    itinerary: list  # cell index per step, or ON_DISCONTINUITY
-    verdict: PeriodVerdict
-    inexact: bool = False
+class OrbitTrace(Record):
+    __slots__ = ("states", "itinerary", "verdict", "inexact")
+
+    def __init__(self, states, itinerary, verdict, inexact=False):
+        self.states = states
+        self.itinerary = itinerary  # cell index per step, or ON_DISCONTINUITY
+        self.verdict = verdict
+        self.inexact = inexact
 
 
 def _round_dyadic(x, bits):

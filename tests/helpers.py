@@ -150,8 +150,11 @@ def random_simplex(rng, n, denominator=1024):
 
 
 def random_irreducible_system(rng, n, hyperplanes=1, denominator=12):
-    """Random system with around-one hyperplane normals (so each plane
-    cuts the simplex interior) and irreducible dense cell matrices."""
+    """Random system at delta = 0 with hyperplane normals drawn
+    coefficientwise from 5/8 to 11/8 and irreducible dense cell
+    matrices. A plane a.x = 1 cuts the simplex interior only when some
+    coefficient is below 1 and some above; a constant normal (c, ..., c)
+    misses the simplex, or contains all of it when c == 1."""
     planes = []
     for _ in range(hyperplanes):
         normal = tuple(

@@ -166,7 +166,10 @@ def test_clock_rejects_oversized_and_unmeasurable_levels():
     with pytest.raises(ClockBuildError):
         clock_spec(21)  # 2 + 63 states
     # Level 4 needs the level-2 period for its detector, which is far
-    # beyond any practical horizon.
+    # beyond any practical horizon, so clock_spec refuses it before any
+    # stepping.
+    with pytest.raises(ClockBuildError, match="level-2 period"):
+        clock_spec(4)
     with pytest.raises(ClockBuildError):
         build_clock(4, inner_horizon=200)
 

@@ -1,12 +1,15 @@
 """Property tests: the rref-based elimination helpers against the
-top-down elimination reference in helpers.py."""
+top-down elimination reference in helpers.py, and the integer fast
+paths of parse_rational and kron against Fraction's own parser and the
+entrywise product."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from misdyn.rational import find_dependent_row, rref, solve_unique
+from misdyn.rational import find_dependent_row, kron, parse_rational, rref, solve_unique
 
 from helpers import reference_dependent_rows, reference_rank
 
@@ -62,3 +65,59 @@ def test_solve_unique_is_exact_or_none(a, data):
     assert (u is None) == (rank < cols or not consistent)
     if u is not None:
         assert [sum((x * y for x, y in zip(row, u)), Fraction(0)) for row in a] == b
+
+
+# Plain p/q tokens (the int path) and every other spelling Fraction might
+# take or refuse: signs, zeros, underscores, decimals, exponents, blanks,
+# and non-ASCII digits.
+TOKENS = st.one_of(
+    st.from_regex(r"[-+]?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/._eE \u00b2\u0661\u0662", max_size=8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TOKENS)
+@example("+3/4")
+@example("-0/5")
+@example("007")
+@example("1.5")
+@example("1e3")
+@example("1_0")
+@example("3/-4")
+@example("--3")
+@example("1/0")
+@example("\u00b2")
+@example("\u0661/\u0662")
+def test_parse_rational_matches_fraction(token):
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as err:
+            parse_rational(token)
+        assert str(err.value) == f"invalid rational literal {token!r}"
+    else:
+        value = parse_rational(token)
+        assert type(value) is Fraction and value == expected
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def fraction_matrices(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [draw(st.lists(FRACTIONS, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_matrices(), fraction_matrices())
+def test_kron_matches_entrywise_formula(a, b):
+    expected = tuple(
+        tuple(a[i][k] * b[j][l] for k in range(len(a[0])) for l in range(len(b[0])))
+        for i in range(len(a))
+        for j in range(len(b))
+    )
+    product = kron(a, b)
+    assert product == expected
+    assert all(type(v) is Fraction for row in product for v in row)

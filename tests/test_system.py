@@ -79,6 +79,70 @@ def test_stochastic_matrix_validation():
     assert not m.has_positive_diagonal()
 
 
+def reference_simplex_check(values, negative, unsummed):
+    """The plain Fraction check that SimplexVector and StochasticMatrix
+    rows must agree with."""
+    values = [F(v) for v in values]
+    if any(v < 0 for v in values):
+        raise ValueError(negative)
+    if sum(values) != 1:
+        raise ValueError(unsummed)
+
+
+def reference_stochastic_matrix(rows, allow_zero_diagonal):
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    for i, row in enumerate(rows):
+        reference_simplex_check(row, f"negative entry in row {i}", f"row {i} does not sum to 1")
+        if not allow_zero_diagonal and row[i] == 0:
+            raise ValueError(f"zero diagonal at row {i}")
+
+
+def outcome(build, *args):
+    try:
+        build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+@st.composite
+def near_simplex_points(draw, size):
+    """Weights over their sum, some negative, some nudged off the simplex,
+    with integral entries sometimes given as ints."""
+    weights = draw(st.lists(st.integers(-1, 6), min_size=size, max_size=size))
+    total = sum(weights) or 1
+    point = [F(w, total) for w in weights]
+    if draw(st.booleans()):
+        point[draw(st.integers(0, size - 1))] += draw(
+            st.fractions(min_value=-1, max_value=1, max_denominator=12)
+        )
+    return [int(v) if v.denominator == 1 and draw(st.booleans()) else v for v in point]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(near_simplex_points))
+def test_simplex_vector_agrees_with_fraction_sum(point):
+    expected = outcome(reference_simplex_check, point, "negative coordinate",
+                       "coordinates do not sum to 1")
+    assert outcome(SimplexVector, point) == expected
+    if expected == "ok":
+        assert SimplexVector(point) == tuple(F(v) for v in point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(near_simplex_points(n), min_size=n, max_size=n)),
+       st.booleans())
+def test_stochastic_matrix_agrees_with_fraction_sum(rows, allow_zero_diagonal):
+    expected = outcome(reference_stochastic_matrix, rows, allow_zero_diagonal)
+    assert outcome(StochasticMatrix, rows, allow_zero_diagonal) == expected
+    if expected == "ok":
+        assert StochasticMatrix(rows, allow_zero_diagonal).rows == tuple(
+            tuple(F(v) for v in row) for row in rows
+        )
+
+
 def test_hyperplane_rejects_zero_normal():
     with pytest.raises(ValueError):
         Hyperplane((0, 0))
@@ -414,6 +478,33 @@ def test_constant_observable_always_low_variance():
     sys0 = kronecker_variance_lift(a, b, (F(3), F(3)), F(1))
     assert len(sys0.hyperplanes) == 0
     assert locate_cell(sys0, y) == 0
+
+
+@st.composite
+def lift_inputs(draw):
+    """A 1-3 state variance-threshold pair with possibly zero off-diagonal
+    weights, a rational observable and threshold."""
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        rows = []
+        for i in range(n):
+            weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+            weights[i] += 1
+            rows.append([F(w, sum(weights)) for w in weights])
+        return StochasticMatrix(rows)
+
+    xi = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                       min_size=n, max_size=n))
+    threshold = draw(st.fractions(min_value=0, max_value=2, max_denominator=12))
+    return matrix(), matrix(), xi, threshold
+
+
+@settings(max_examples=30, deadline=None)
+@given(lift_inputs())
+def test_lifted_system_config_roundtrip(inputs):
+    lifted = kronecker_variance_lift(*inputs)
+    assert read_mis_config(write_mis_config(lifted)) == lifted
 
 
 def test_lift_conjugacy_with_quadratic_reference():
