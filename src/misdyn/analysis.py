@@ -37,8 +37,15 @@ from .system import (
 
 
 def block_product(system, cells):
-    """Matrix product along a run of cell indices, in step order."""
-    k, e = _IntCells(system).product(tuple(cells))
+    """Matrix product along a run of cell indices, in step order; the
+    run must hold at least one index, each in 0..len(system.cells) - 1."""
+    cells = tuple(cells)
+    if not cells:
+        raise ValueError("block needs at least one cell index")
+    for c in cells:
+        if not 0 <= c < len(system.cells):
+            raise ValueError(f"cell index {c} outside 0..{len(system.cells) - 1}")
+    k, e = _IntCells(system).product(cells)
     return tuple(tuple(Fraction(v, e) for v in row) for row in k)
 
 
@@ -96,6 +103,10 @@ def estimate_eta(
     with window length and tau is submultiplicative, so the first
     passing t is enough.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if not exhaustive and sample_budget < 1:
+        raise ValueError(f"sample_budget {sample_budget} must be at least 1")
     if exhaustive:
         n_cells = len(system.cells)
         for t in range(1, horizon + 1):

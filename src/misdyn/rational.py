@@ -13,16 +13,28 @@ from fractions import Fraction
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(token):
-    """Parse 'p/q' or an integer literal into a Fraction."""
+def parse_ratio(token):
+    """(p, q) in lowest terms, q > 0, of a rational token. A plain
+    [-]p[/q] token is read with int, every other spelling with
+    Fraction's own parser."""
     try:
         plain = _PLAIN_RATIONAL.fullmatch(token) if type(token) is str else None
         if plain is None:
-            return Fraction(token)
+            value = Fraction(token)
+            return value.numerator, value.denominator
         num, den = plain.groups()
-        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        num, den = int(num), 1 if den is None else int(den)
+        if not den:
+            raise ZeroDivisionError
+        g = math.gcd(num, den)
+        return num // g, den // g
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational literal {token!r}") from exc
+
+
+def parse_rational(token):
+    """Parse 'p/q' or an integer literal into a Fraction."""
+    return Fraction(*parse_ratio(token))
 
 
 def format_rational(q):
@@ -31,6 +43,13 @@ def format_rational(q):
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_ratio(k, e):
+    """format_rational(Fraction(k, e)) for integers k and e > 0, with one
+    gcd and no Fraction."""
+    g = math.gcd(k, e)
+    return str(k // g) if g == e else f"{k // g}/{e // g}"
 
 
 def as_fraction_vector(values):
@@ -45,9 +64,17 @@ def as_fraction_matrix(rows):
 
 def _int_matrix(rows):
     """(K, E) of a rational matrix: E the lcm of its entry denominators
-    and K = E * rows, the integer matrix."""
+    and K = E * rows, the integer matrix. For Fraction entries, which
+    are in lowest terms, the pair is in lowest terms too."""
     scale = math.lcm(*(v.denominator for row in rows for v in row))
     return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
+
+
+def _kron_int(ka, kb):
+    """Kronecker product of two integer matrices, row-major pairing."""
+    return tuple(
+        tuple(x * y for x in row_a for y in row_b) for row_a in ka for row_b in kb
+    )
 
 
 def vec_dot(u, v):
@@ -78,11 +105,7 @@ def kron(a, b):
     ka, ea = _int_matrix(a)
     kb, eb = _int_matrix(b)
     e = ea * eb
-    return tuple(
-        tuple(Fraction(x * y, e) for x in row_a for y in row_b)
-        for row_a in ka
-        for row_b in kb
-    )
+    return tuple(tuple(Fraction(v, e) for v in row) for row in _kron_int(ka, kb))
 
 
 def rref(rows, ncols=None):

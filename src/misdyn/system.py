@@ -20,11 +20,13 @@ from . import digraph as dg
 from ._record import FrozenRecord, Record
 from .rational import (
     _int_matrix,
+    _kron_int,
     as_fraction_matrix,
     as_fraction_vector,
+    format_ratio,
     format_rational,
-    kron,
     mat_inf_norm,
+    parse_ratio,
     parse_rational,
     solve_unique,
 )
@@ -95,23 +97,37 @@ class SimplexVector(tuple):
 class StochasticMatrix:
     """Square row-stochastic matrix with exact rational entries.
 
+    The matrix is stored as its integer form (k, e): e is the lcm of the
+    entries' reduced denominators and k = e * S, a tuple of integer row
+    tuples, so equal matrices have equal forms. ==, hash, the support,
+    the orbit engine and the config writer all read (k, e). rows, the
+    Fraction rows, are derived from it on first read and then kept; a
+    matrix built from rows keeps the rows it was given.
+
     The diagonal must be strictly positive unless allow_zero_diagonal is
     set (needed for constructions whose reset rows move all mass away).
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "k", "e", "_rows")
 
     def __init__(self, rows, allow_zero_diagonal=False):
-        rows = as_fraction_matrix(rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix is not square")
-        for i, row in enumerate(rows):
-            _check_simplex(row, f"negative entry in row {i}", f"row {i} does not sum to 1")
-            if not allow_zero_diagonal and row[i] == 0:
-                raise ValueError(f"zero diagonal at row {i}")
-        self.n = n
-        self.rows = rows
+        rows = _square(as_fraction_matrix(rows))
+        k, e = _int_matrix(rows)
+        _check_stochastic(k, e, allow_zero_diagonal)
+        self.n = len(rows)
+        self.k = k
+        self.e = e
+        self._rows = rows
+
+    @property
+    def rows(self):
+        """Fraction rows k / e, derived on first read, then kept."""
+        if self._rows is None:
+            # One Fraction per distinct entry, shared by its repeats.
+            e, k = self.e, self.k
+            value = {v: Fraction(v, e) for v in set(chain.from_iterable(k))}
+            self._rows = tuple(tuple(map(value.__getitem__, row)) for row in k)
+        return self._rows
 
     def support(self):
         """Digraph view of the positive entries, built like a kernel
@@ -123,19 +139,53 @@ class StochasticMatrix:
         raw support instead.
         """
         n = self.n
-        return dg._digraph(n, _support(self.rows) | sum(1 << i * (n + 1) for i in range(n)))
+        return dg._digraph(n, _support(self.k) | sum(1 << i * (n + 1) for i in range(n)))
 
     def has_positive_diagonal(self):
-        return all(self.rows[i][i] > 0 for i in range(self.n))
+        return all(row[i] for i, row in enumerate(self.k))
 
     def __eq__(self, other):
-        return isinstance(other, StochasticMatrix) and self.rows == other.rows
+        return isinstance(other, StochasticMatrix) and self.e == other.e and self.k == other.k
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.e, self.k))
 
     def __repr__(self):
         return f"StochasticMatrix({self.rows!r})"
+
+
+def _square(rows):
+    """rows, refused unless they form a square matrix of at least one row."""
+    if not rows:
+        raise ValueError("matrix has no rows")
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return rows
+
+
+def _check_stochastic(k, e, allow_zero_diagonal):
+    """Refuse the integer form (k, e) unless each row of k is nonnegative
+    and sums to e, and, unless allow_zero_diagonal, its diagonal is
+    positive; rows are checked in order, each for all three."""
+    for i, row in enumerate(k):
+        if min(row) < 0:
+            raise ValueError(f"negative entry in row {i}")
+        if sum(row) != e:
+            raise ValueError(f"row {i} does not sum to 1")
+        if not allow_zero_diagonal and not row[i]:
+            raise ValueError(f"zero diagonal at row {i}")
+
+
+def _stochastic(k, e):
+    """A StochasticMatrix of the integer form (k, e), which must be in
+    lowest terms, for results that are stochastic by construction: the
+    checks are skipped and rows is derived on first read."""
+    m = object.__new__(StochasticMatrix)
+    m.n = len(k)
+    m.k = k
+    m.e = e
+    m._rows = None
+    return m
 
 
 class Hyperplane(FrozenRecord):
@@ -234,11 +284,11 @@ def locate_cell(system, x):
 #
 # A state x is held as one integer vector p over one shared denominator
 # D in lowest terms (x = p / D, gcd(D, *p) == 1, so the pair is unique
-# and equal states have equal pairs). Each cell matrix S is scaled once
-# to the integer matrix K = E * S (rational._int_matrix), E the lcm of
-# its entry denominators, and each hyperplane test a.x vs 1 + delta
-# becomes one integer comparison of A.p against c * D. A step is then
-# p -> p K over D * E, reduced by one gcd.
+# and equal states have equal pairs). Each cell matrix S is read as the
+# integer form it stores, K = E * S with E the lcm of its entry
+# denominators, so no run rescales it, and each hyperplane test a.x vs
+# 1 + delta becomes one integer comparison of A.p against c * D. A step
+# is then p -> p K over D * E, reduced by one gcd.
 
 
 def _int_tau(k, e):
@@ -267,7 +317,7 @@ class _IntCells:
             )
             self.planes.append((coeffs, threshold.numerator * scale))
         self.patterns = [cell.pattern for cell in system.cells]
-        self.matrices = [_int_matrix(cell.matrix.rows) for cell in system.cells]  # (K, E)
+        self.matrices = [(cell.matrix.k, cell.matrix.e) for cell in system.cells]
         self.columns = [  # per cell, per column j: ((i, K_ij), ...) nonzero only
             tuple(tuple((i, row[j]) for i, row in enumerate(k) if row[j]) for j in range(len(k)))
             for k, _ in self.matrices
@@ -550,15 +600,16 @@ def orbit(system, x0, horizon, mode="capped", bit_cap=DEFAULT_BIT_CAP, dyadic_bi
 
 
 def _rows_of(m):
-    rows = m.rows if hasattr(m, "rows") else as_fraction_matrix(m)
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
-    return rows
+    """Fraction rows of a StochasticMatrix, of another object with .rows
+    or of a raw row list."""
+    return _square(m.rows if hasattr(m, "rows") else as_fraction_matrix(m))
 
 
 def coefficient_of_ergodicity(m):
     """Half the maximum l1 distance between two rows; submultiplicative
     contraction coefficient for stochastic matrices."""
+    if isinstance(m, StochasticMatrix):
+        return _int_tau(m.k, m.e)
     return _int_tau(*_int_matrix(_rows_of(m)))
 
 
@@ -575,7 +626,7 @@ def is_primitive(m):
     Wielandt's bound is checked on the power (n-1)^2 + 1 of the raw boolean
     support at any size and diagonal (self-loops are not assumed, since
     adding them could turn an imprimitive support primitive)."""
-    return _support_is_primitive(_rows_of(m))
+    return _support_is_primitive(m.k if isinstance(m, StochasticMatrix) else _rows_of(m))
 
 
 def _support_is_primitive(matrix):
@@ -658,8 +709,12 @@ def kronecker_variance_lift(a, b, xi, threshold):
         raise ValueError("observable length does not match matrix size")
     threshold = Fraction(threshold)
     n = a.n
-    lifted_a = StochasticMatrix(kron(a.rows, a.rows))
-    lifted_b = StochasticMatrix(kron(b.rows, b.rows))
+    # (K (x) K, E^2) is in lowest terms: each prime of E leaves some
+    # entry of K undivided, and so its square in K (x) K.
+    lifted_a = _stochastic(_kron_int(a.k, a.k), a.e * a.e)
+    lifted_b = _stochastic(_kron_int(b.k, b.k), b.e * b.e)
+    _check_stochastic(lifted_a.k, lifted_a.e, allow_zero_diagonal=False)
+    _check_stochastic(lifted_b.k, lifted_b.e, allow_zero_diagonal=False)
     normal = tuple(
         (xi[i] - xi[j]) ** 2 / 2 - threshold + 1 for i in range(n) for j in range(n)
     )
@@ -690,22 +745,33 @@ def _config_lines(text):
             yield lineno, line
 
 
-def _read_matrix(n, tokens, lines, opened):
-    """Rows of an n x n matrix whose entries start with tokens, on the
-    line numbered opened, and continue over the next lines of lines.
-    A bad or extra entry is reported on its own line, missing entries
-    on the opening line."""
-    values = []
+def _read_matrix(n, tokens, lines, opened, allow_zero_diagonal):
+    """StochasticMatrix of the n x n entries that start with tokens, on
+    the line numbered opened, and continue over the next lines of lines,
+    read straight into its integer form; each distinct token is parsed
+    once. A bad or extra entry is reported on its own line, missing
+    entries on the opening line; a matrix that is not stochastic raises
+    ValueError for the caller."""
+    entries = []
+    ratios = {}  # token -> (p, q)
     rest = ((lineno, line.split()) for lineno, line in lines)
     for lineno, tokens in chain([(opened, tokens)], rest):
         try:
-            values += map(parse_rational, tokens)
-            if len(values) > n * n:
+            for token in tokens:
+                if token not in ratios:
+                    ratios[token] = parse_ratio(token)
+            entries += tokens
+            if len(entries) > n * n:
                 raise ValueError("too many matrix entries")
         except ValueError as exc:
             raise ConfigFormatError(str(exc), lineno) from exc
-        if len(values) == n * n:
-            return [values[i * n : (i + 1) * n] for i in range(n)]
+        if len(entries) == n * n:
+            e = math.lcm(*(q for _, q in ratios.values()))
+            scaled = {token: p * (e // q) for token, (p, q) in ratios.items()}
+            flat = list(map(scaled.__getitem__, entries))
+            k = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+            _check_stochastic(k, e, allow_zero_diagonal)
+            return _stochastic(k, e)
     raise ConfigFormatError("matrix entries missing", opened)
 
 
@@ -779,8 +845,7 @@ def read_mis_config(text):
                 pattern = "" if rest[0] == "." else rest[0]
                 if len(rest) < 2 or rest[1] != "matrix:":
                     raise ValueError("expected 'matrix:' after the pattern")
-                rows = _read_matrix(n, rest[2:], lines, lineno)
-                matrix = StochasticMatrix(rows, allow_zero_diagonal=True)
+                matrix = _read_matrix(n, rest[2:], lines, lineno, allow_zero_diagonal=True)
                 cells.append((lineno, Cell(pattern, matrix)))
             else:
                 raise ValueError(f"unrecognized line {line!r}")
@@ -833,8 +898,9 @@ def read_lift_config(text):
                 _once(given, line[:2], lineno)
                 if n is None:
                     raise ValueError("matrix before n=")
-                rows = _read_matrix(n, line[2:].split(), lines, lineno)
-                matrices[line[0]] = StochasticMatrix(rows)
+                matrices[line[0]] = _read_matrix(
+                    n, line[2:].split(), lines, lineno, allow_zero_diagonal=False
+                )
             else:
                 raise ValueError(f"unrecognized line {line!r}")
         except ConfigFormatError:
@@ -861,8 +927,12 @@ def write_mis_config(system):
     for cell in system.cells:
         pattern = cell.pattern if cell.pattern else "."
         lines.append(f"cell: {pattern} matrix:")
-        for row in cell.matrix.rows:
-            lines.append("  " + " ".join(format_rational(v) for v in row))
+        # Each distinct entry is formatted once: matrices repeat entries,
+        # Kronecker squares most of all (K_ij K_kl = K_kl K_ij).
+        e, k = cell.matrix.e, cell.matrix.k
+        text = {v: format_ratio(v, e) for v in set(chain.from_iterable(k))}
+        for row in k:
+            lines.append("  " + " ".join(map(text.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -890,6 +960,8 @@ def write_trace_csv(trace, out, exact=True):
 
 def sample_simplex(rng, n, denominator=1024):
     """Uniform-ish exact rational simplex point with a fixed denominator."""
+    if n < 1:
+        raise ValueError(f"state count {n} must be at least 1")
     if denominator < 1:
         raise ValueError(f"denominator {denominator} must be at least 1")
     cuts = sorted(rng.randint(0, denominator) for _ in range(n - 1))

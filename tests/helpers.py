@@ -426,6 +426,41 @@ def reference_block_product(system, cells):
     return acc
 
 
+def reference_int_form(rows):
+    """(K, E) of a rational matrix from its definition: E the least
+    common multiple of the entries' denominators in lowest terms, found
+    by a plain loop, and K the integer matrix E * rows."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    e = 1
+    for row in rows:
+        for v in row:
+            a, b = e, v.denominator
+            while b:
+                a, b = b, a % b
+            e = e * v.denominator // a
+    return tuple(tuple(int(v * e) for v in row) for row in rows), e
+
+
+def reference_write_mis_config(system):
+    """The config text of a system, every matrix entry formatted from its
+    Fraction in .rows."""
+
+    def fmt(q):
+        q = Fraction(q)
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    lines = [f"n={system.n}", f"omega={fmt(system.omega)}", f"delta={fmt(system.delta)}"]
+    if any(cell.matrix.rows[i][i] == 0 for cell in system.cells for i in range(system.n)):
+        lines.append("unchecked=1")
+    for h in system.hyperplanes:
+        lines.append("hyperplane: " + " ".join(fmt(v) for v in h.normal))
+    for cell in system.cells:
+        lines.append(f"cell: {cell.pattern or '.'} matrix:")
+        for row in cell.matrix.rows:
+            lines.append("  " + " ".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def reference_tau(rows):
     """Coefficient of ergodicity from its definition: half the largest
     l1 distance between two rows, in Fractions."""

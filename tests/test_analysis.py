@@ -233,6 +233,27 @@ def test_eta_exhaustive_mode_sound():
     assert eta_sampled is not None and eta_sampled <= eta_symbolic
 
 
+def test_eta_refuses_a_horizon_or_sample_budget_below_one():
+    sys_ = constant_system(StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]]))
+    for exhaustive in (False, True):
+        with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+            estimate_eta(sys_, horizon=0, sample_budget=3, exhaustive=exhaustive)
+    with pytest.raises(ValueError, match="^sample_budget 0 must be at least 1$"):
+        estimate_eta(sys_, horizon=5, sample_budget=0)
+    assert estimate_eta(sys_, horizon=5, sample_budget=0, exhaustive=True) == 1
+
+
+def test_block_product_refuses_an_empty_block_or_a_bad_index():
+    from misdyn.constructions import build_baker
+
+    system, _ = build_baker()
+    with pytest.raises(ValueError, match="^block needs at least one cell index$"):
+        block_product(system, [])
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"^cell index {bad} outside 0..1$"):
+            block_product(system, [0, bad])
+
+
 def test_eta_unbounded_for_reducible_flip_flop():
     # Both cells keep two absorbing halves, so no window product is ever
     # primitive and the renormalizer does not exist.

@@ -1,9 +1,11 @@
 import io
 import random
+from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misdyn import digraph as dg
@@ -37,7 +39,13 @@ from misdyn.system import (
     write_trace_csv,
 )
 
-from helpers import quadratic_threshold_step, random_simplex, random_stochastic
+from helpers import (
+    quadratic_threshold_step,
+    random_simplex,
+    random_stochastic,
+    reference_int_form,
+    reference_write_mis_config,
+)
 
 F = Fraction
 
@@ -141,6 +149,88 @@ def test_stochastic_matrix_agrees_with_fraction_sum(rows, allow_zero_diagonal):
         assert StochasticMatrix(rows, allow_zero_diagonal).rows == tuple(
             tuple(F(v) for v in row) for row in rows
         )
+
+
+def test_empty_matrix_is_refused():
+    with pytest.raises(ValueError, match="^matrix has no rows$"):
+        StochasticMatrix([])
+
+
+def spell(v, how):
+    """A config token for the Fraction v: in lowest terms, scaled by 2
+    ('2/4'), as a decimal ('0.5') when v has one, or as '-0/3' for 0."""
+    p, q = v.numerator, v.denominator
+    if how == "scaled":
+        return f"{2 * p}/{2 * q}"
+    if how == "decimal" and 10**6 % q == 0:
+        return str(Decimal(p) / Decimal(q))
+    if how == "negative-zero" and p == 0:
+        return "-0/3"
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+SPELLINGS = ("lowest", "scaled", "decimal", "negative-zero")
+
+
+@st.composite
+def kronecker_squares(draw):
+    """Fraction rows of a 1-3 state stochastic matrix A with a positive
+    diagonal, and a spelling for each entry of A (x) A."""
+    m = draw(st.integers(1, 3))
+    rows = []
+    for i in range(m):
+        weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+        weights[i] += 1
+        rows.append([F(w, sum(weights)) for w in weights])
+    spellings = draw(st.lists(st.sampled_from(SPELLINGS), min_size=m**4, max_size=m**4))
+    return rows, spellings
+
+
+@settings(max_examples=40, deadline=None)
+@given(kronecker_squares())
+@example(  # A (x) A spelled as 2/8 0.25 1/4 1/4, -0/3 0.5 0/2 1/2, 0 -0/3 2/4 0.5, 0 0 -0/3 2/2
+    (
+        [[F(1, 2), F(1, 2)], [F(0), F(1)]],
+        "scaled decimal lowest lowest negative-zero decimal scaled lowest lowest negative-zero"
+        " scaled decimal decimal lowest negative-zero scaled".split(),
+    )
+)
+def test_matrix_built_three_ways_has_one_integer_form(inputs):
+    """A (x) A from its Fraction rows, from config text and by the lift
+    has the reference (K, E), the same rows, == and hash."""
+    a_rows, spellings = inputs
+    square = tuple(tuple(x * y for x in ra for y in rb) for ra in a_rows for rb in a_rows)
+    tokens = iter(spell(v, how) for v, how in zip(chain(*square), spellings))
+    text = f"n={len(square)}\ncell: . matrix:\n" + "".join(
+        "  " + " ".join(next(tokens) for _ in row) + "\n" for row in square
+    )
+    a = StochasticMatrix(a_rows)
+    from_rows = StochasticMatrix(square)
+    built = [
+        from_rows,
+        read_mis_config(text).cells[0].matrix,
+        kronecker_variance_lift(a, a, [0] * a.n, 0).cells[0].matrix,
+    ]
+    for m in built:
+        assert (m.k, m.e) == reference_int_form(square)
+        assert m.rows == square
+        assert all(type(v) is F for row in m.rows for v in row)
+        assert m == from_rows and hash(m) == hash(from_rows)
+
+
+def test_write_mis_config_matches_entrywise_writer():
+    from misdyn.constructions import build_baker, build_clock
+
+    systems = [build_baker()[0], build_clock(1)[0], build_clock(2)[0]]
+    rng = random.Random(53)
+    for _ in range(3):
+        a, b = random_stochastic(rng, 3), random_stochastic(rng, 3)
+        xi = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(3)]
+        systems.append(kronecker_variance_lift(a, b, xi, F(rng.randint(1, 10), 30)))
+    for system in systems:
+        text = write_mis_config(system)
+        assert text == reference_write_mis_config(system)
+        assert write_mis_config(read_mis_config(text)) == text
 
 
 def test_hyperplane_rejects_zero_normal():
@@ -644,6 +734,12 @@ def test_trace_csv_exact_and_decimal():
     buf = io.StringIO()
     write_trace_csv(tr, buf, exact=False)
     assert "0.5" in buf.getvalue()
+
+
+def test_sample_simplex_needs_a_state():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^state count {n} must be at least 1$"):
+            sample_simplex(random.Random(0), n)
 
 
 def test_sample_simplex_is_exact():
