@@ -3,6 +3,7 @@ irreducibility structure, constancy certificates and delta sweeps.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -26,10 +27,12 @@ from .system import (
     DEFAULT_BIT_CAP,
     NoCellMatch,
     PeriodVerdict,
+    StochasticMatrix,
     _int_tau,
     _IntCells,
     _mode_orbit,
     _Orbit,
+    _stochastic,
     _support_is_primitive,
     perron_decomposition,
     sample_simplex,
@@ -37,8 +40,9 @@ from .system import (
 
 
 def block_product(system, cells):
-    """Matrix product along a run of cell indices, in step order; the
-    run must hold at least one index, each in 0..len(system.cells) - 1."""
+    """StochasticMatrix product along a run of cell indices, in step
+    order, in lowest terms (its diagonal may be zero); the run must hold
+    at least one index, each in 0..len(system.cells) - 1."""
     cells = tuple(cells)
     if not cells:
         raise ValueError("block needs at least one cell index")
@@ -46,7 +50,8 @@ def block_product(system, cells):
         if not 0 <= c < len(system.cells):
             raise ValueError(f"cell index {c} outside 0..{len(system.cells) - 1}")
     k, e = _IntCells(system).product(cells)
-    return tuple(tuple(Fraction(v, e) for v in row) for row in k)
+    g = math.gcd(e, *itertools.chain.from_iterable(k))
+    return _stochastic(tuple(tuple(v // g for v in row) for row in k), e // g)
 
 
 def detect_period(
@@ -172,7 +177,10 @@ def weak_irreducibility_partition(system):
 
 def check_invariant_sums(system, partition, trace):
     """True iff the per-block coordinate sums are exactly constant along
-    the trace."""
+    the trace; every vertex must lie in 0..system.n - 1."""
+    bad = [v for block in partition for v in block if not 0 <= v < system.n]
+    if bad:
+        raise ValueError(f"vertex {bad[0]} outside 0..{system.n - 1}")
     reference = [
         sum((trace.states[0][v] for v in block), Fraction(0)) for block in partition
     ]
@@ -237,7 +245,7 @@ def property_u_certificate(matrices, theta, a):
     m_columns = []
     for k in theta:
         p_k = prefix_products[k]
-        _, q_k = perron_decomposition(p_k)
+        _, q_k = perron_decomposition(StochasticMatrix(p_k, allow_zero_diagonal=True))
         q_columns.append(tuple(vec_dot(row, a) for row in q_k))
         m_columns.append(tuple(vec_dot(row, a) for row in p_k))
     m = len(theta)

@@ -64,14 +64,15 @@ class ClockSpec(FrozenRecord):
 
 def clock_spec(levels):
     """Layout of a clock of 0 to 3 levels. A fourth level's detector
-    needs the level-2 clock's period, about 1.9e9 steps (z2 gains about
-    2.5e-9 per 28-step ring and resets past one half), which exact
+    needs the level-2 clock's period, about 2.6e9 steps (z2's gain per
+    28-step ring starts near 2.5e-9 and shrinks by 1 - 2^-27 each ring,
+    so it resets past one half after about 9.3e7 rings), which exact
     stepping cannot reach, so 4 levels and more are refused here."""
     if levels < 0:
         raise ClockBuildError("levels must be nonnegative")
     if levels > 3:
         raise ClockBuildError(
-            f"{levels} levels need the level-2 period (about 1.9e9 steps), "
+            f"{levels} levels need the level-2 period (about 2.6e9 steps), "
             "out of reach of exact stepping; at most 3 levels are buildable"
         )
     return ClockSpec(levels, BASE_PERIOD, 2 + 3 * levels, Fraction(1, levels + 1))

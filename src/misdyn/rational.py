@@ -1,7 +1,7 @@
-"""Exact rational vector and matrix helpers.
-
-Vectors are tuples of fractions.Fraction, matrices are tuples of row
-tuples. Nothing in this module touches floating point.
+"""Exact rational helpers: rational tokens, Fraction vectors and
+matrices, a matrix's integer form (K, E) with its Kronecker product, and
+the Fraction products and rref solvers behind the spectral solves and
+property-U certificates. Nothing here touches floating point.
 """
 
 import math
@@ -97,15 +97,6 @@ def mat_mul(a, b):
 def mat_inf_norm(m):
     """Maximum absolute row sum."""
     return max(sum((abs(v) for v in row), Fraction(0)) for row in m)
-
-
-def kron(a, b):
-    """Kronecker product with row-major pairing of indices, multiplied on
-    the integer forms (K, E) so that each entry is one Fraction."""
-    ka, ea = _int_matrix(a)
-    kb, eb = _int_matrix(b)
-    e = ea * eb
-    return tuple(tuple(Fraction(v, e) for v in row) for row in _kron_int(ka, kb))
 
 
 def rref(rows, ncols=None):

@@ -599,18 +599,10 @@ def orbit(system, x0, horizon, mode="capped", bit_cap=DEFAULT_BIT_CAP, dyadic_bi
     return run.trace(*run.classify(horizon))
 
 
-def _rows_of(m):
-    """Fraction rows of a StochasticMatrix, of another object with .rows
-    or of a raw row list."""
-    return _square(m.rows if hasattr(m, "rows") else as_fraction_matrix(m))
-
-
 def coefficient_of_ergodicity(m):
-    """Half the maximum l1 distance between two rows; submultiplicative
-    contraction coefficient for stochastic matrices."""
-    if isinstance(m, StochasticMatrix):
-        return _int_tau(m.k, m.e)
-    return _int_tau(*_int_matrix(_rows_of(m)))
+    """Half the maximum l1 distance between two rows of a StochasticMatrix;
+    submultiplicative contraction coefficient for stochastic matrices."""
+    return _int_tau(m.k, m.e)
 
 
 def _support(rows):
@@ -622,17 +614,17 @@ def _support(rows):
 
 
 def is_primitive(m):
-    """True iff some power of the support is entrywise positive, which by
-    Wielandt's bound is checked on the power (n-1)^2 + 1 of the raw boolean
-    support at any size and diagonal (self-loops are not assumed, since
-    adding them could turn an imprimitive support primitive)."""
-    return _support_is_primitive(m.k if isinstance(m, StochasticMatrix) else _rows_of(m))
+    """True iff some power of the StochasticMatrix's support is entrywise
+    positive, which by Wielandt's bound is checked on the power (n-1)^2 + 1
+    of the raw boolean support at any size and diagonal (self-loops are not
+    assumed, since adding them could turn an imprimitive support primitive)."""
+    return _support_is_primitive(m.k)
 
 
 def _support_is_primitive(matrix):
-    """is_primitive on matrix rows (Fractions or integers): the Wielandt
-    power of the flat support (see _support) is taken by repeated
-    squaring with the digraph kernel's product."""
+    """is_primitive on integer matrix rows: the Wielandt power of the
+    flat support (see _support) is taken by repeated squaring with the
+    digraph kernel's product."""
     n = len(matrix)
     full = (1 << n) - 1
     acc, base = None, _support(matrix)
@@ -648,9 +640,9 @@ def _support_is_primitive(matrix):
 
 
 def stationary_distribution(p):
-    """Exact solve of pi^T P = pi^T with unit sum; requires a unique
-    solution (primitive P)."""
-    rows = _rows_of(p)
+    """Exact solve of pi^T P = pi^T with unit sum for the StochasticMatrix
+    P; requires a unique solution (primitive P)."""
+    rows = p.rows
     n = len(rows)
     equations = [[rows[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
     sol = solve_unique(equations + [[Fraction(1)] * n], [Fraction(0)] * n + [Fraction(1)])
@@ -660,7 +652,7 @@ def stationary_distribution(p):
 
 
 def perron_decomposition(p):
-    """Split a primitive stochastic matrix as 1 pi^T + Q.
+    """Split a primitive StochasticMatrix P as 1 pi^T + Q.
 
     Returns (pi, Q rows); the infinity norm of Q never exceeds twice the
     coefficient of ergodicity of P, which is asserted.
@@ -668,8 +660,7 @@ def perron_decomposition(p):
     if not is_primitive(p):
         raise NotPrimitive("matrix support is not primitive")
     pi = stationary_distribution(p)
-    rows = _rows_of(p)
-    q = tuple(tuple(v - pi[j] for j, v in enumerate(row)) for row in rows)
+    q = tuple(tuple(v - pi[j] for j, v in enumerate(row)) for row in p.rows)
     assert mat_inf_norm(q) <= 2 * coefficient_of_ergodicity(p)
     return pi, q
 
@@ -682,6 +673,8 @@ def variance_of(xi, x):
     """Variance of the observable xi under distribution x, written as the
     pair sum (1/2) sum_ij (xi_i - xi_j)^2 x_i x_j."""
     xi = as_fraction_vector(xi)
+    if len(xi) != len(x):
+        raise ValueError(f"observable has {len(xi)} entries for a {len(x)}-state distribution")
     total = Fraction(0)
     for i in range(len(xi)):
         for j in range(len(xi)):

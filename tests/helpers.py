@@ -335,15 +335,17 @@ def _reference_append_stuck(tree, leaf, g):
 def quadratic_threshold_step(a, b, xi, threshold, x):
     """Reference stepper for the variance-threshold rule, mirroring the
     discontinuity convention of the lifted system (ties map to the
-    identity)."""
-    from misdyn.rational import vec_mat
-    from misdyn.system import variance_of
-
-    var = variance_of(xi, x)
+    identity). The variance is the moment form E[xi^2] - E[xi]^2."""
+    n = len(x)
+    mean = sum((Fraction(xi[i]) * x[i] for i in range(n)), Fraction(0))
+    second = sum((Fraction(xi[i]) ** 2 * x[i] for i in range(n)), Fraction(0))
+    var = second - mean * mean
     if var == threshold:
         return x
-    m = a if var > threshold else b
-    return SimplexVector(vec_mat(x, m.rows))
+    rows = (a if var > threshold else b).rows
+    return SimplexVector(
+        tuple(sum((x[i] * rows[i][j] for i in range(n)), Fraction(0)) for j in range(n))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +426,16 @@ def reference_block_product(system, cells):
             for r in acc
         )
     return acc
+
+
+def reference_kron(a, b):
+    """Kronecker product of two Fraction matrices by plain loops, rows
+    and columns paired row-major."""
+    return tuple(
+        tuple(a[i][k] * b[j][l] for k in range(len(a[0])) for l in range(len(b[0])))
+        for i in range(len(a))
+        for j in range(len(b))
+    )
 
 
 def reference_int_form(rows):

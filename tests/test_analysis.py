@@ -103,21 +103,13 @@ def test_asymptotic_contraction_certificate():
         tau = coefficient_of_ergodicity(prod)
         assert tau == verdict.tau_block and tau < 1
         # Contraction: distance to the block fixed point decays like tau^k.
-        pi, _ = perron_decomposition(_as_rows(prod))
-        x = x0
-        for _ in range(verdict.transient):
-            pass
+        pi, _ = perron_decomposition(prod)
         x = _advance(sys_, x0, verdict.transient)
         for k in range(1, 21):
-            x = SimplexVector(vec_mat(x, prod))
+            x = SimplexVector(vec_mat(x, prod.rows))
             dist = sum(abs(a - b) for a, b in zip(x, pi))
             assert dist <= 2 * tau**k
     assert hits >= 20
-
-
-class _as_rows:
-    def __init__(self, rows):
-        self.rows = rows
 
 
 def _advance(sys_, x, steps):
@@ -220,7 +212,7 @@ def test_eta_definitional_recheck():
         for start in range(len(cells) - eta + 1):
             window = cells[start : start + eta]
             prod = block_product(sys_, window)
-            assert is_primitive(_as_rows(prod))
+            assert is_primitive(prod)
             assert coefficient_of_ergodicity(prod) < F(1, 2)
 
 
@@ -432,6 +424,18 @@ def test_invariant_sums_trivial_for_irreducible():
     x0 = random_simplex(rng, 3)
     tr = orbit(sys_, x0, 20)
     assert check_invariant_sums(sys_, [frozenset(range(3))], tr)
+
+
+def test_invariant_sums_refuse_a_vertex_outside_the_system():
+    # Refused before any state is read; a negative vertex must not index
+    # from the end.
+    sys_ = constant_system(StochasticMatrix([[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]]))
+    tr = orbit(sys_, SimplexVector((1, 0)), 3)
+    for bad in (5, -1, 2):
+        with pytest.raises(ValueError, match=f"^vertex {bad} outside 0..1$"):
+            check_invariant_sums(sys_, [[0], [1, bad]], tr)
+    assert not check_invariant_sums(sys_, [[0], [1]], tr)
+    assert check_invariant_sums(sys_, [[0, 1]], tr)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,9 @@ def test_shared_integer_paths_match_references(system, data):
     block = data.draw(st.lists(indices, min_size=1, max_size=4))
     expected = reference_block_product(system, block)
     prod = block_product(system, block)
-    assert prod == expected
+    # (k, e) equality pins lowest terms.
+    reference = StochasticMatrix(expected, allow_zero_diagonal=True)
+    assert prod == reference and hash(prod) == hash(reference)
     tau = reference_tau(expected)
     assert coefficient_of_ergodicity(prod) == tau
     assert is_primitive(prod) == reference_primitive(expected)

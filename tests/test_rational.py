@@ -1,7 +1,6 @@
 """Property tests: the rref-based elimination helpers against the
 top-down elimination reference in helpers.py, and the integer fast
-paths of parse_rational and kron against Fraction's own parser and the
-entrywise product."""
+path of parse_rational against Fraction's own parser."""
 
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from misdyn.rational import find_dependent_row, kron, parse_rational, rref, solve_unique
+from misdyn.rational import find_dependent_row, parse_rational, rref, solve_unique
 
 from helpers import reference_dependent_rows, reference_rank
 
@@ -99,25 +98,3 @@ def test_parse_rational_matches_fraction(token):
     else:
         value = parse_rational(token)
         assert type(value) is Fraction and value == expected
-
-
-FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
-
-
-@st.composite
-def fraction_matrices(draw):
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    return [draw(st.lists(FRACTIONS, min_size=cols, max_size=cols)) for _ in range(rows)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(fraction_matrices(), fraction_matrices())
-def test_kron_matches_entrywise_formula(a, b):
-    expected = tuple(
-        tuple(a[i][k] * b[j][l] for k in range(len(a[0])) for l in range(len(b[0])))
-        for i in range(len(a))
-        for j in range(len(b))
-    )
-    product = kron(a, b)
-    assert product == expected
-    assert all(type(v) is Fraction for row in product for v in row)

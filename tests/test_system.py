@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misdyn import digraph as dg
-from misdyn.rational import format_rational, kron, mat_inf_norm, mat_mul, parse_rational, vec_mat
+from misdyn.rational import format_rational, mat_inf_norm, mat_mul, parse_rational, vec_mat
 from misdyn.system import (
     EXACT_PERIODIC,
     ON_DISCONTINUITY,
@@ -44,6 +44,7 @@ from helpers import (
     random_simplex,
     random_stochastic,
     reference_int_form,
+    reference_kron,
     reference_write_mis_config,
 )
 
@@ -396,7 +397,7 @@ def test_tau_submultiplicative():
         n = rng.randint(2, 5)
         a = random_stochastic(rng, n)
         b = random_stochastic(rng, n)
-        prod = mat_mul(a.rows, b.rows)
+        prod = StochasticMatrix(mat_mul(a.rows, b.rows), allow_zero_diagonal=True)
         assert coefficient_of_ergodicity(prod) <= coefficient_of_ergodicity(
             a
         ) * coefficient_of_ergodicity(b)
@@ -429,13 +430,8 @@ def test_primitivity_footnote_pair():
         [[0, 1], [F(1, 2), F(1, 2)]], allow_zero_diagonal=True
     )
     assert is_primitive(a) and is_primitive(b)
-    prod = mat_mul(a.rows, b.rows)
-
-    class Rows:
-        def __init__(self, rows):
-            self.rows = rows
-
-    assert not is_primitive(Rows(prod))
+    prod = StochasticMatrix(mat_mul(a.rows, b.rows), allow_zero_diagonal=True)
+    assert not is_primitive(prod)
 
 
 def test_primitivity_cycle_not_primitive():
@@ -531,7 +527,11 @@ def test_stationary_distribution_needs_one_closed_class():
     [coefficient_of_ergodicity, is_primitive, stationary_distribution, perron_decomposition],
 )
 def test_raw_rows_must_be_square(solve, rows):
-    with pytest.raises(ValueError, match="matrix is not square"):
+    # The square check lives in the one matrix type; the solvers take
+    # only a StochasticMatrix, so raw rows fail like any other wrong type.
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        StochasticMatrix(rows, allow_zero_diagonal=True)
+    with pytest.raises(AttributeError):
         solve(rows)
 
 
@@ -551,7 +551,7 @@ def test_lift_commutes_with_dynamics():
         a = random_stochastic(rng, n)
         x = random_simplex(rng, n)
         left = lift_state(SimplexVector(vec_mat(x, a.rows)))
-        right = vec_mat(lift_state(x), kron(a.rows, a.rows))
+        right = vec_mat(lift_state(x), reference_kron(a.rows, a.rows))
         assert tuple(left) == right
 
 
@@ -563,7 +563,7 @@ def test_constant_observable_always_low_variance():
     x = random_simplex(rng, 2)
     y = lift_state(x)
     idx = locate_cell(sys_, y)
-    assert sys_.cells[idx].matrix == StochasticMatrix(kron(b.rows, b.rows))
+    assert sys_.cells[idx].matrix == StochasticMatrix(reference_kron(b.rows, b.rows))
     # Degenerate hyperplane case: constant observable with threshold 1.
     sys0 = kronecker_variance_lift(a, b, (F(3), F(3)), F(1))
     assert len(sys0.hyperplanes) == 0
@@ -623,6 +623,15 @@ def test_variance_identity_against_moment_form():
         mean = sum(v * p for v, p in zip(xi, x))
         second = sum(v * v * p for v, p in zip(xi, x))
         assert variance_of(xi, x) == second - mean * mean
+
+
+def test_variance_refuses_a_length_mismatch():
+    # Unequal lengths are refused, neither truncated nor indexed past x.
+    third = F(1, 3)
+    with pytest.raises(ValueError, match="^observable has 2 entries for a 3-state distribution$"):
+        variance_of([0, 2], (third, third, third))
+    with pytest.raises(ValueError, match="^observable has 3 entries for a 2-state distribution$"):
+        variance_of([0, 2, 4], (F(1, 2), F(1, 2)))
 
 
 # ---------------------------------------------------------------------------
